@@ -18,6 +18,7 @@ from .errors import EmptyProfileError, PlanError
 from .problems import get_problem, problem_names
 from .sets import SET_NAMES, make_set
 from .solvers import (
+    SOLVERS,
     STATUS_STATIONARY,
     RunRecord,
     SolverConfig,
@@ -41,7 +42,8 @@ CSV_COLUMNS = (
     "max_g_final",
 )
 
-_CONFIG_FIELDS = {f.name for f in fields(SolverConfig)}
+#: SolverConfig field -> default; an override is parsed to its default's type
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,11 @@ class BenchPlan:
             if name not in SET_NAMES:
                 raise PlanError(f"unknown set {name!r}")
         for solver, m in self.solvers:
-            if solver not in ("scs", "spg"):
+            if solver not in SOLVERS:
                 raise PlanError(f"unknown solver {solver!r}")
             if m < 0:
                 raise PlanError("memory M must be nonnegative")
-        bad = set(self.overrides) - _CONFIG_FIELDS
+        bad = set(self.overrides) - _CONFIG_DEFAULTS.keys()
         if bad:
             raise PlanError(f"unknown config overrides: {sorted(bad)}")
 
@@ -108,13 +110,12 @@ def parse_plan(text: str) -> BenchPlan:
             solvers = tuple(parsed)
         elif key == "seed":
             seed = int(value)
-        elif key in _CONFIG_FIELDS:
-            if key in ("M", "max_iters", "max_backtracks"):
-                overrides[key] = int(value)
-            elif key in ("adaptive_momentum", "dynamic_beta"):
+        elif key in _CONFIG_DEFAULTS:
+            kind = type(_CONFIG_DEFAULTS[key])
+            if kind is bool:
                 overrides[key] = value.lower() in ("1", "true", "yes", "on")
             else:
-                overrides[key] = float(value)
+                overrides[key] = kind(value)
         else:
             raise PlanError(f"line {lineno}: unknown key {key!r}")
     return BenchPlan(problems=problems, sets=sets, solvers=solvers, overrides=overrides, seed=seed)

@@ -7,19 +7,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 
 import click
 
 from .bench import (
     boundary_subset,
+    is_success,
     parse_plan,
     performance_profile,
     records_from_csv,
     records_to_csv,
     run_plan,
 )
-from dataclasses import replace as _replace
 
 
 @click.group()
@@ -36,13 +37,13 @@ def run_cmd(plan_path, out_dir, jobs, seed):
     """Run a benchmark plan and write records.csv."""
     plan = parse_plan(pathlib.Path(plan_path).read_text())
     if seed is not None:
-        plan = _replace(plan, seed=seed)
+        plan = dataclasses.replace(plan, seed=seed)
     records = run_plan(plan, jobs=jobs)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "records.csv"
     target.write_text(records_to_csv(records))
-    ok = sum(1 for r in records if r.status == "stationary")
+    ok = sum(1 for r in records if is_success(r))
     click.echo(f"{len(records)} runs ({ok} stationary) -> {target}")
 
 

@@ -1,19 +1,20 @@
 """SCS and SPG solvers for smooth convexly constrained problems.
 
-SCS combines a projected-gradient primary direction with a heavy-ball
-secondary direction, backtracking along a quadratic search curve that must
-stay feasible and satisfy a (possibly non-monotone) Armijo condition.  When
-the curve's endpoint violates a constraint that is nearly active along the
-primary direction, the method falls back to a straight line.  SPG is the
-spectral projected gradient baseline with quadratic-interpolation line
-search.
+One driver runs the iteration both methods share; a step strategy moves it.
+SCS backtracks along a quadratic curve that blends a projected-gradient
+primary direction with a heavy-ball secondary direction; the curve must stay
+feasible and satisfy a (possibly non-monotone) Armijo condition, and when its
+endpoint violates a constraint nearly active along the primary direction the
+step falls back to a straight line.  SPG, the spectral projected gradient
+baseline, backtracks along the straight line by quadratic interpolation.
+`SOLVERS` maps each solver name to its entry point.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,50 +224,127 @@ def stationarity_measure(
 # solvers
 
 
-def _finalize(
-    name, p, fset, status, x, fx, stat, k, fallbacks, adaptive_reductions, t0, cfg, trace
-):
-    return RunRecord(
-        solver_name=name,
-        problem_name=p.name,
-        set_name=fset.name,
-        status=status,
-        f_star=fx,
-        stationarity=stat,
-        iterations=k,
-        fallbacks=fallbacks,
-        adaptive_reductions=adaptive_reductions,
-        elapsed=time.perf_counter() - t0,
-        M=cfg.M,
-        dim=p.dim,
-        final_x=np.array(x),
-        max_g_final=fset.max_violation(x),
-        trace=trace,
-    )
+class _CurveStep:
+    """SCS step along a certificate-guarded quadratic curve; owns the momentum state."""
+
+    def __init__(self, p: SmoothProblem, fset: ConvexFeasibleSet, cfg: SolverConfig):
+        self.p = p
+        self.fset = fset
+        self.cfg = cfg
+        self.x_prev: Vector | None = None  # None until the first step is taken
+        self.beta = cfg.beta0
+        self.eps = cfg.eps0
+        self.fallbacks = 0
+        self.adaptive_reductions = 0
+
+    def __call__(self, x, fx, grad, eta, z, pz, f_ref, rec):
+        cfg = self.cfg
+        first = self.x_prev is None
+        x_prev = x if first else self.x_prev
+        d = pz - x
+        proj_required = float(np.linalg.norm(z - pz)) > _PROJ_ACTIVE_TOL
+        s_candidate = build_secondary_direction(d, x, x_prev, cfg.alpha, self.beta, eta)
+        s = s_candidate
+
+        # the first step has no momentum and always runs along the straight line
+        fallback = first
+        adaptive = False
+        beta_k = self.beta
+        if not fallback:
+            decision = feasibility_certificate(
+                QuadraticCurve(x, d, s), self.fset, cfg.t_tilde, self.eps
+            )
+            fallback = decision is CurveDecision.FALL_BACK
+        if fallback:
+            s = d
+            self.fallbacks += 1
+        elif cfg.adaptive_momentum and proj_required:
+            s, beta_k = adaptive_momentum(
+                d, x, x_prev, self.fset, cfg.alpha, self.beta, eta, cfg.delta, cfg.max_backtracks
+            )
+            adaptive = True
+            if beta_k < self.beta:
+                self.adaptive_reductions += 1
+
+        curve = QuadraticCurve(x, d, s)
+        grad_dot_d = float(np.dot(grad, d))
+        res = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
+
+        if rec is not None:
+            rec.t = res.t
+            rec.fallback = fallback
+            rec.adaptive = adaptive
+            rec.beta_used = beta_k
+            rec.eps = self.eps
+            rec.grad_dot_d = grad_dot_d
+            rec.d = np.array(d)
+            rec.s = np.array(s)
+            rec.s_candidate = np.array(s_candidate)
+            rec.straight_line = curve.is_straight_line()
+
+        if cfg.dynamic_beta:
+            self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / cfg.delta)
+        self.eps *= cfg.eps_decay
+        self.x_prev = x
+        return res.x, res.f
 
 
-def scs_solve(
+class _LineStep:
+    """SPG step: backtracking by safeguarded quadratic interpolation along a line."""
+
+    fallbacks = 0
+    adaptive_reductions = 0
+
+    def __init__(self, p: SmoothProblem, cfg: SolverConfig):
+        self.p = p
+        self.cfg = cfg
+
+    def __call__(self, x, fx, grad, eta, z, pz, f_ref, rec):
+        cfg = self.cfg
+        d = pz - x
+        grad_dot_d = float(np.dot(grad, d))
+        lam = 1.0
+        for _ in range(cfg.max_backtracks + 1):
+            xt = x + lam * d
+            ft = self.p.f(xt)
+            if ft <= f_ref + cfg.sigma * lam * grad_dot_d:
+                if rec is not None:
+                    rec.t = lam
+                    rec.grad_dot_d = grad_dot_d
+                    rec.d = np.array(d)
+                    rec.straight_line = True
+                return xt, ft
+            denom = 2.0 * (ft - fx - lam * grad_dot_d)
+            lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
+            lam = min(0.9 * lam, max(0.1 * lam, lam_new))
+        raise SearchFailureError(
+            f"line search exhausted {cfg.max_backtracks} backtracks",
+            failed_condition="sufficient_decrease",
+        )
+
+
+def _drive(
+    name: str,
+    step,
     p: SmoothProblem,
     fset: ConvexFeasibleSet,
-    cfg: SolverConfig = SolverConfig(),
-    record_trace: bool = False,
-    x0: Vector | None = None,
+    cfg: SolverConfig,
+    record_trace: bool,
+    x0: Vector | None,
 ) -> RunRecord:
-    """Heavy-ball curve search with certificate-guarded momentum."""
+    """The iteration shared by SCS and SPG.
+
+    `step(x, fx, grad, eta, z, project(z), f_ref, rec)` returns the accepted
+    (x_next, f_next) or raises SearchFailureError, which ends the run.
+    """
     t0 = time.perf_counter()
     x = fset.project(np.array(p.start if x0 is None else x0, dtype=float))
-    x_prev = np.array(x)
     grad = p.grad(x)
     fx = p.f(x)
     eta = cfg.eta0
-    beta = cfg.beta0
-    eps = cfg.eps0
     f_hist: deque[float] = deque([fx], maxlen=cfg.M + 1)
-    fallbacks = 0
-    adaptive_reductions = 0
     trace: list[IterationRecord] | None = [] if record_trace else None
     k = 0
-    status = STATUS_ITER_LIMIT
     while True:
         stat = stationarity_measure(p, fset, x, grad)
         rec = None
@@ -286,73 +364,52 @@ def scs_solve(
             break
 
         z = x - eta * grad
-        pz = fset.project(z)
-        d = pz - x
-        proj_required = float(np.linalg.norm(z - pz)) > _PROJ_ACTIVE_TOL
-        s_candidate = build_secondary_direction(d, x, x_prev, cfg.alpha, beta, eta)
-        s = s_candidate
-
-        fallback = k == 0
-        adaptive = False
-        beta_k = beta
-        if not fallback:
-            decision = feasibility_certificate(
-                QuadraticCurve(x, d, s), fset, cfg.t_tilde, eps
-            )
-            fallback = decision is CurveDecision.FALL_BACK
-        if fallback:
-            s = d
-            fallbacks += 1
-        elif cfg.adaptive_momentum and proj_required:
-            try:
-                s, beta_k = adaptive_momentum(
-                    d, x, x_prev, fset, cfg.alpha, beta, eta, cfg.delta, cfg.max_backtracks
-                )
-            except SearchFailureError:
-                status = STATUS_SEARCH_FAILURE
-                break
-            adaptive = True
-            if beta_k < beta:
-                adaptive_reductions += 1
-
-        curve = QuadraticCurve(x, d, s)
-        grad_dot_d = float(np.dot(grad, d))
         f_ref = max(f_hist)
         try:
-            res = curve_search(p, fset, curve, f_ref, grad_dot_d, cfg)
+            x_next, f_next = step(x, fx, grad, eta, z, fset.project(z), f_ref, rec)
         except SearchFailureError:
             status = STATUS_SEARCH_FAILURE
             break
-
         if rec is not None:
-            rec.t = res.t
-            rec.fallback = fallback
-            rec.adaptive = adaptive
-            rec.beta_used = beta_k
             rec.eta = eta
-            rec.eps = eps
-            rec.grad_dot_d = grad_dot_d
             rec.f_ref = f_ref
-            rec.d = np.array(d)
-            rec.s = np.array(s)
-            rec.s_candidate = np.array(s_candidate)
-            rec.straight_line = curve.is_straight_line()
 
-        grad_next = p.grad(res.x)
-        eta = spectral_eta(res.x - x, grad_next - grad, cfg.eta_min, cfg.eta_max)
-        if cfg.dynamic_beta:
-            beta = beta_k if adaptive else min(0.9, beta / cfg.delta)
-        eps *= cfg.eps_decay
-        x_prev = x
-        x = res.x
-        fx = res.f
+        grad_next = p.grad(x_next)
+        eta = spectral_eta(x_next - x, grad_next - grad, cfg.eta_min, cfg.eta_max)
+        x = x_next
+        fx = f_next
         grad = grad_next
         f_hist.append(fx)
         k += 1
 
-    return _finalize(
-        "scs", p, fset, status, x, fx, stat, k, fallbacks, adaptive_reductions, t0, cfg, trace
+    return RunRecord(
+        solver_name=name,
+        problem_name=p.name,
+        set_name=fset.name,
+        status=status,
+        f_star=fx,
+        stationarity=stat,
+        iterations=k,
+        fallbacks=step.fallbacks,
+        adaptive_reductions=step.adaptive_reductions,
+        elapsed=time.perf_counter() - t0,
+        M=cfg.M,
+        dim=p.dim,
+        final_x=np.array(x),
+        max_g_final=fset.max_violation(x),
+        trace=trace,
     )
+
+
+def scs_solve(
+    p: SmoothProblem,
+    fset: ConvexFeasibleSet,
+    cfg: SolverConfig = SolverConfig(),
+    record_trace: bool = False,
+    x0: Vector | None = None,
+) -> RunRecord:
+    """Heavy-ball curve search with certificate-guarded momentum."""
+    return _drive("scs", _CurveStep(p, fset, cfg), p, fset, cfg, record_trace, x0)
 
 
 def spg_solve(
@@ -363,70 +420,11 @@ def spg_solve(
     x0: Vector | None = None,
 ) -> RunRecord:
     """Spectral projected gradient with non-monotone interpolating line search."""
-    t0 = time.perf_counter()
-    x = fset.project(np.array(p.start if x0 is None else x0, dtype=float))
-    grad = p.grad(x)
-    fx = p.f(x)
-    eta = cfg.eta0
-    f_hist: deque[float] = deque([fx], maxlen=cfg.M + 1)
-    trace: list[IterationRecord] | None = [] if record_trace else None
-    k = 0
-    status = STATUS_ITER_LIMIT
-    while True:
-        stat = stationarity_measure(p, fset, x, grad)
-        rec = None
-        if trace is not None:
-            rec = IterationRecord(
-                k=k, x=np.array(x), f=fx, stationarity=stat, max_g=fset.max_violation(x)
-            )
-            trace.append(rec)
-        if stat <= cfg.stat_tol:
-            status = STATUS_STATIONARY
-            break
-        if k >= cfg.max_iters:
-            status = STATUS_ITER_LIMIT
-            break
-        if time.perf_counter() - t0 > cfg.time_limit:
-            status = STATUS_TIME_LIMIT
-            break
+    return _drive("spg", _LineStep(p, cfg), p, fset, cfg, record_trace, x0)
 
-        d = fset.project(x - eta * grad) - x
-        grad_dot_d = float(np.dot(grad, d))
-        f_ref = max(f_hist)
-        lam = 1.0
-        accepted = None
-        for _ in range(cfg.max_backtracks + 1):
-            xt = x + lam * d
-            ft = p.f(xt)
-            if ft <= f_ref + cfg.sigma * lam * grad_dot_d:
-                accepted = (lam, xt, ft)
-                break
-            # safeguarded quadratic interpolation for the next trial step
-            denom = 2.0 * (ft - fx - lam * grad_dot_d)
-            lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
-            lam = min(0.9 * lam, max(0.1 * lam, lam_new))
-        if accepted is None:
-            status = STATUS_SEARCH_FAILURE
-            break
-        lam, x_next, f_next = accepted
 
-        if rec is not None:
-            rec.t = lam
-            rec.eta = eta
-            rec.grad_dot_d = grad_dot_d
-            rec.f_ref = f_ref
-            rec.d = np.array(d)
-            rec.straight_line = True
-
-        grad_next = p.grad(x_next)
-        eta = spectral_eta(x_next - x, grad_next - grad, cfg.eta_min, cfg.eta_max)
-        x = x_next
-        fx = f_next
-        grad = grad_next
-        f_hist.append(fx)
-        k += 1
-
-    return _finalize("spg", p, fset, status, x, fx, stat, k, 0, 0, t0, cfg, trace)
+#: solver name -> entry point; the one list of solvers a plan may name
+SOLVERS = {"scs": scs_solve, "spg": spg_solve}
 
 
 def solve(
@@ -437,12 +435,6 @@ def solve(
     record_trace: bool = False,
     x0: Vector | None = None,
 ) -> RunRecord:
-    if solver == "scs":
-        return scs_solve(p, fset, cfg, record_trace, x0)
-    if solver == "spg":
-        return spg_solve(p, fset, cfg, record_trace, x0)
-    raise KeyError(f"unknown solver {solver!r}; known: ('scs', 'spg')")
-
-
-def config_with(cfg: SolverConfig, **overrides) -> SolverConfig:
-    return replace(cfg, **overrides)
+    if solver not in SOLVERS:
+        raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")
+    return SOLVERS[solver](p, fset, cfg, record_trace, x0)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -17,7 +19,7 @@ from curveopt.bench import (
 )
 from curveopt.cli import main as cli_main
 from curveopt.errors import EmptyProfileError, PlanError
-from curveopt.solvers import RunRecord
+from curveopt.solvers import RunRecord, SolverConfig
 
 
 def mk(
@@ -82,6 +84,13 @@ def test_parse_plan_full_example():
 def test_parse_plan_defaults_m_to_zero():
     plan = parse_plan("problems = beale2\nsets = box\nsolvers = spg\n")
     assert plan.solvers == (("spg", 0),)
+
+
+@pytest.mark.parametrize("field", fields(SolverConfig), ids=lambda f: f.name)
+def test_parse_plan_override_takes_default_type(field):
+    plan = parse_plan(f"{field.name} = {field.default}")
+    assert plan.overrides == {field.name: field.default}
+    assert type(plan.overrides[field.name]) is type(field.default)
 
 
 def test_parse_plan_rejects_bad_line():

@@ -6,11 +6,11 @@ from curveopt.errors import SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
 from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
+    STATUS_SEARCH_FAILURE,
     STATUS_STATIONARY,
     SolverConfig,
     adaptive_momentum,
     build_secondary_direction,
-    config_with,
     curve_search,
     scs_solve,
     solve,
@@ -28,6 +28,16 @@ def sum_of_squares(n):
         lambda x: float(np.dot(x, x)),
         lambda x: 2.0 * np.asarray(x, dtype=float),
         np.ones(n),
+    )
+
+
+def steep1():
+    return SmoothProblem(
+        "steep1",
+        1,
+        lambda x: float(2.0 * x[0] * x[0]),
+        lambda x: np.array([4.0 * x[0]]),
+        np.array([1.0]),
     )
 
 
@@ -219,18 +229,22 @@ def test_config_validation():
         SolverConfig(M=-1)
 
 
-def test_config_with_override():
-    cfg = config_with(SolverConfig(), M=10, stat_tol=1e-5)
-    assert cfg.M == 10 and cfg.stat_tol == 1e-5
-    assert cfg.delta == 0.5
-
-
 def test_solver_dispatch():
     p = sum_of_squares(2)
     b = make_box(2)
     assert solve("spg", p, b).solver_name == "spg"
     with pytest.raises(KeyError):
         solve("newton", p, b)
+
+
+@pytest.mark.parametrize("solver", ("scs", "spg"))
+def test_search_failure_ends_run(solver):
+    # f = 2 x^2 from x = 1: the unit trial overshoots to -3 and fails
+    # Armijo, and max_backtracks = 0 leaves no second trial
+    rec = solve(solver, steep1(), make_box(1, lo=-10.0, hi=10.0), SolverConfig(max_backtracks=0))
+    assert rec.status == STATUS_SEARCH_FAILURE
+    assert rec.iterations == 0
+    assert rec.f_star == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +254,7 @@ def test_solver_dispatch():
 def test_spg_quadratic_interpolation_step():
     # f = 2 x^2 from x = 1: the first trial overshoots to -3 and the
     # interpolated step 0.25 lands exactly on the minimizer
-    p = SmoothProblem(
-        "steep1",
-        1,
-        lambda x: float(2.0 * x[0] * x[0]),
-        lambda x: np.array([4.0 * x[0]]),
-        np.array([1.0]),
-    )
+    p = steep1()
     b = make_box(1, lo=-10.0, hi=10.0)
     rec = spg_solve(p, b, SolverConfig(stat_tol=1e-9), record_trace=True)
     assert rec.status == STATUS_STATIONARY
@@ -338,6 +346,15 @@ def test_scs_nonmonotone_reference_uses_memory():
             continue
         lo = max(0, k - M)
         assert r.f_ref == pytest.approx(max(fs[lo : k + 1]), abs=1e-12)
+
+
+def test_scs_momentum_capped_by_beta0():
+    p = get_problem("rosenbrock2")
+    cfg = SolverConfig(beta0=0.5, max_iters=20)
+    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), cfg, record_trace=True)
+    used = [r.beta_used for r in rec.trace if r.beta_used is not None]
+    assert len(used) > 1
+    assert max(used) <= 0.5
 
 
 def test_scs_eta_stays_in_bounds():
