@@ -8,12 +8,14 @@ Four shipped configurations, addressable by short name:
   com  -- sphere + halfspace + box intersection
   box  -- coordinate bounds     lo <= x_i <= hi (default [-1, 1])
 
-Projection onto sph/box is closed form; ell uses 1-D root finding on the
-KKT multiplier; com uses Dykstra's alternating projections.
+Every projection is exact: sph/box are closed form; ell uses 1-D root
+finding on the KKT multiplier; com nests two 1-D multiplier searches, one
+for the ball and one for the halfspace, with the box handled by clipping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,8 +30,8 @@ FEAS_TOL = 1e-8
 
 _ELL_ROOT_TOL = 1e-10
 _ELL_MAX_ITERS = 200
-_DYKSTRA_TOL = 1e-10
-_DYKSTRA_MAX_SWEEPS = 100000
+_COM_ROOT_TOL = 1e-11
+_COM_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -199,14 +201,13 @@ def make_ellipsoid(
 
 
 # ---------------------------------------------------------------------------
-# composite: sphere + halfspace + box, projected via Dykstra
+# composite: sphere + halfspace + box, projected by nested multiplier searches
 
 
 def make_composite(n: int) -> ConvexFeasibleSet:
     """||x - c||^2 <= 100 (c = 4*ones), w^T x <= 5 (w = ones/n), -5 <= x_i <= 10."""
     c = np.full(n, 4.0)
     w = np.full(n, 1.0 / n)
-    wn2 = float(np.dot(w, w))
     lo, hi = -5.0, 10.0
     radius = 10.0
 
@@ -228,36 +229,102 @@ def make_composite(n: int) -> ConvexFeasibleSet:
             e[i - 2 - n] = -1.0
         return e
 
-    def proj_sphere(x):
-        d = x - c
-        nrm = float(np.linalg.norm(d))
-        if nrm <= radius:
-            return x
-        return c + (radius / nrm) * d
+    r2 = radius * radius
+    # KKT of min ||x - z||^2 over the set, with multiplier lam >= 0 for the
+    # ball:  x(lam) = P(a), a = c + (z - c) / (1 + lam), where
+    # P(a) = clip(a - nu w, lo, hi) projects onto the halfspace and the box
+    # with nu >= 0 the (scaled) halfspace multiplier.  The search for lam
+    # aims at radius rt, the middle of its acceptance window, so that
+    # rounding at the root cannot keep every trial out of the window.
+    rt = math.sqrt(r2 - 0.5 * _COM_ROOT_TOL)
 
-    def proj_halfspace(x):
-        viol = float(np.dot(w, x)) - 5.0
-        if viol <= 0.0:
-            return x
-        return x - (viol / wn2) * w
+    def psi(d2):
+        """1/rt - 1/||x - c|| for d2 = ||x - c||^2."""
+        return 1.0 / rt - 1.0 / math.sqrt(d2) if d2 > 0.0 else -math.inf
 
-    def proj_box(x):
-        return np.clip(x, lo, hi)
+    def clip(a):
+        # same result as np.clip at about half its call overhead
+        return np.minimum(np.maximum(a, lo), hi)
 
-    pieces = (proj_sphere, proj_halfspace, proj_box)
+    def x_of(a, nu):
+        return clip(a - nu * w)
+
+    def h(x):
+        return float(np.dot(w, x)) - 5.0
+
+    def project_halfspace_box(a):
+        x_i = clip(a)
+        h_i = h(x_i)
+        if h_i <= 0.0:
+            return x_i
+        # h(x_of(a, nu)) is nonincreasing in nu and x_of(a, nu) is affine
+        # between consecutive breakpoints, where a coordinate leaves hi or
+        # reaches lo; at the last one every coordinate is at lo and
+        # h = w^T lo - 5 < 0.  Bisect for the piece that holds the root, then
+        # interpolate x on it, which keeps x in the box with h = 0 even when
+        # a is too large for nu to be resolved.
+        nodes = np.sort(np.concatenate(((a - hi) / w, (a - lo) / w)))
+        nodes = nodes[nodes > 0.0]
+        i = -1  # index -1 stands for nu = 0
+        j = len(nodes) - 1
+        x_j = x_of(a, nodes[j])
+        h_j = h(x_j)
+        while j - i > 1:
+            m = (i + j) // 2
+            x_m = x_of(a, nodes[m])
+            h_m = h(x_m)
+            if h_m > 0.0:
+                i, x_i, h_i = m, x_m, h_m
+            else:
+                j, x_j, h_j = m, x_m, h_m
+        return x_i + (h_i / (h_i - h_j)) * (x_j - x_i)
 
     def project(z):
-        x = np.array(z, dtype=float)
-        incs = [np.zeros(n) for _ in pieces]
-        for _ in range(_DYKSTRA_MAX_SWEEPS):
-            x_old = x
-            for j, proj in enumerate(pieces):
-                y = x + incs[j]
-                x = proj(y)
-                incs[j] = y - x
-            if float(np.linalg.norm(x - x_old)) <= _DYKSTRA_TOL:
+        z = np.asarray(z, dtype=float)
+        v = z - c
+        dz2 = float(np.dot(v, v))
+        if not math.isfinite(dz2):
+            raise ProjectionError("composite projection: ||z - c|| is not finite")
+        # P does not move points away from c, which lies in the set.  So
+        # inside the ball lam = 0, and at the radial lam_hi, where
+        # ||a - c|| = rt, ||x - c|| <= rt < r and the root lies in [0, lam_hi].
+        if dz2 <= r2:
+            return project_halfspace_box(z)
+        lam_hi = math.sqrt(dz2) / rt - 1.0
+        x_hi = project_halfspace_box(c + v / (1.0 + lam_hi))
+        d2_hi = float(np.dot(x_hi - c, x_hi - c))
+        if d2_hi >= r2 - _COM_ROOT_TOL:
+            return x_hi
+        x = project_halfspace_box(z)
+        d2 = float(np.dot(x - c, x - c))
+        if d2 <= r2:
+            return x
+        # d2(lam) = ||x(lam) - c||^2 is nonincreasing; return the first x(lam)
+        # with r2 - _COM_ROOT_TOL <= d2 <= r2.  Secant steps on psi, which is
+        # linear in lam while neither the halfspace nor a bound is active,
+        # safeguarded by bisection of the bracket (lam_lo, lam_hi).
+        lam_lo, lam_prev, psi_prev = 0.0, 0.0, psi(d2)
+        lam, psi_lam = lam_hi, psi(d2_hi)
+        for _ in range(_COM_MAX_ITERS):
+            if lam_hi - lam_lo <= 4.0 * math.ulp(lam_hi):
+                return x_hi
+            step = (
+                lam - psi_lam * (lam - lam_prev) / (psi_lam - psi_prev)
+                if psi_lam != psi_prev
+                else math.nan
+            )
+            lam_prev, psi_prev = lam, psi_lam
+            lam = step if lam_lo < step < lam_hi else 0.5 * (lam_lo + lam_hi)
+            x = project_halfspace_box(c + v / (1.0 + lam))
+            d2 = float(np.dot(x - c, x - c))
+            if d2 > r2:
+                lam_lo = lam
+            elif d2 >= r2 - _COM_ROOT_TOL:
                 return x
-        raise ProjectionError("composite projection: Dykstra sweep cap reached")
+            else:
+                lam_hi, x_hi = lam, x
+            psi_lam = psi(d2)
+        raise ProjectionError("composite projection: multiplier search did not converge")
 
     return ConvexFeasibleSet("com", n, 2 * n + 2, g, g_grad, project)
 

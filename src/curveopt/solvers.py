@@ -61,6 +61,14 @@ class SolverConfig:
             raise ValueError("need 0 < eta_min < eta_max")
         if self.M < 0:
             raise ValueError("M must be nonnegative")
+        if not 0.0 < self.t_tilde < 1.0:
+            raise ValueError("t_tilde must be in (0, 1)")
+        if not 0.0 < self.eps_decay <= 1.0:
+            raise ValueError("eps_decay must be in (0, 1]")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if not self.time_limit > 0.0:
+            raise ValueError("time_limit must be positive")
 
 
 STATUS_STATIONARY = "stationary"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curveopt.errors import ProjectionError
 from curveopt.sets import (
     FEAS_TOL,
     SET_NAMES,
@@ -158,6 +159,80 @@ def test_composite_constraint_layout():
     assert np.allclose(g[2:4], [-10.0, -10.0])
     assert np.allclose(g[4:6], [-5.0, -5.0])
     assert np.allclose(c.g_grad(x, 1), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_composite_projection_exact_on_ball_and_halfspace(n):
+    # each of the ball and halfspace constraints is either clearly slack or
+    # tight to rounding at the projection, never left a little inside
+    c = make_composite(n)
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        g = c.g(c.project(rng.uniform(-30.0, 30.0, n)))
+        for gi in g[:2]:
+            assert gi < -1e-6 or abs(gi) <= 1e-10
+
+
+def dykstra_composite(z, n, tol=1e-10, max_sweeps=100000):
+    """Reference oracle: Dykstra's alternating projections onto the composite set."""
+    c = np.full(n, 4.0)
+    w = np.full(n, 1.0 / n)
+
+    def proj_sphere(x):
+        nrm = float(np.linalg.norm(x - c))
+        return x if nrm <= 10.0 else c + (10.0 / nrm) * (x - c)
+
+    def proj_halfspace(x):
+        viol = float(np.dot(w, x)) - 5.0
+        return x if viol <= 0.0 else x - (viol / float(np.dot(w, w))) * w
+
+    def proj_box(x):
+        return np.clip(x, -5.0, 10.0)
+
+    pieces = (proj_sphere, proj_halfspace, proj_box)
+    x = np.array(z, dtype=float)
+    incs = [np.zeros(n) for _ in pieces]
+    for _ in range(max_sweeps):
+        x_old = x
+        for j, proj in enumerate(pieces):
+            y = x + incs[j]
+            x = proj(y)
+            incs[j] = y - x
+        if float(np.linalg.norm(x - x_old)) <= tol:
+            return x
+    raise AssertionError("Dykstra sweep cap reached")
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 100])
+def test_composite_projection_matches_dykstra(n):
+    c = make_composite(n)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(100):
+        z = rng.uniform(-30.0, 30.0, n)
+        assert np.max(np.abs(c.project(z) - dykstra_composite(z, n))) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_composite_projection_far_points(n):
+    # far from the set, P(z) must still be feasible and satisfy the
+    # variational inequality, measured along the unit vector (z - p)/||z - p||
+    c = make_composite(n)
+    rng = np.random.default_rng(9)
+    ys = sample_feasible(c, rng, 200)
+    for scale in (1e3, 1e6, 1e12, 1e100):
+        for _ in range(20):
+            z = scale * rng.standard_normal(n)
+            p = c.project(z)
+            assert c.max_violation(p) <= FEAS_TOL
+            u = (z - p) / np.linalg.norm(z - p)
+            assert max(float(np.dot(u, y - p)) for y in ys) <= 1e-9
+
+
+def test_composite_rejects_non_finite_point():
+    c = make_composite(3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ProjectionError):
+            c.project(np.array([0.0, bad, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,19 @@ def test_config_validation():
         SolverConfig(M=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("t_tilde", 1.5), ("eps_decay", 2.0), ("max_iters", -3), ("time_limit", -1.0)],
+)
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_range_ends():
+    SolverConfig(eps_decay=1.0, max_iters=0)
+
+
 def test_solver_dispatch():
     p = sum_of_squares(2)
     b = make_box(2)
