@@ -12,6 +12,7 @@ import concurrent.futures
 import csv
 import io
 import math
+import time
 from dataclasses import dataclass, field, fields
 
 from .errors import EmptyProfileError, PlanError
@@ -41,6 +42,9 @@ CSV_COLUMNS = (
     "elapsed_s",
     "max_g_final",
 )
+
+#: status of a run that raised; its record's detail holds the exception
+STATUS_ERROR = "error"
 
 #: SolverConfig field -> default; an override is parsed to its default's type
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
@@ -127,11 +131,33 @@ def _run_one(args):
     # one seeded ellipsoid per (seed, dimension)
     fset = make_set(set_name, p.dim, ell_seed=seed + p.dim)
     cfg = SolverConfig(**{**overrides, "M": m})
-    return solve(solver, p, fset, cfg, record_trace=record_trace)
+    t0 = time.perf_counter()
+    try:
+        return solve(solver, p, fset, cfg, record_trace=record_trace)
+    except Exception as exc:  # one failed run must not abort the plan
+        return RunRecord(
+            solver_name=solver,
+            problem_name=problem_name,
+            set_name=set_name,
+            status=STATUS_ERROR,
+            f_star=math.nan,
+            stationarity=math.nan,
+            iterations=0,
+            fallbacks=0,
+            adaptive_reductions=0,
+            elapsed=time.perf_counter() - t0,
+            M=m,
+            dim=p.dim,
+            detail=f"{type(exc).__name__}: {exc}",
+        )
 
 
 def run_plan(plan: BenchPlan, jobs: int = 1, record_trace: bool = False) -> list[RunRecord]:
-    """Execute every (solver, problem, set) combination of the plan."""
+    """Execute every (solver, problem, set) combination of the plan.
+
+    A run that raises becomes a record with status `STATUS_ERROR`; the
+    other runs still complete.
+    """
     plan.validate()
     tasks = [
         (pn, sn, solver, m, plan.overrides, plan.seed, record_trace)

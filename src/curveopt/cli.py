@@ -13,6 +13,7 @@ import pathlib
 import click
 
 from .bench import (
+    STATUS_ERROR,
     boundary_subset,
     is_success,
     parse_plan,
@@ -45,6 +46,10 @@ def run_cmd(plan_path, out_dir, jobs, seed):
     target.write_text(records_to_csv(records))
     ok = sum(1 for r in records if is_success(r))
     click.echo(f"{len(records)} runs ({ok} stationary) -> {target}")
+    # records.csv has no column for the exception message
+    for r in records:
+        if r.status == STATUS_ERROR:
+            click.echo(f"{r.solver_name}:{r.M} {r.problem_name}/{r.set_name}: {r.detail}", err=True)
 
 
 @main.command("profile")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .sets import FEAS_TOL, ConvexFeasibleSet, active_set
+from .sets import FEAS_TOL, ConvexFeasibleSet
 
 Vector = np.ndarray
 
@@ -59,7 +59,7 @@ class QuadraticCurve:
         return self.d + (2.0 * t) * (self.s - self.d)
 
     def is_straight_line(self) -> bool:
-        return bool(np.array_equal(self.s, self.d))
+        return self.s.shape == self.d.shape and bool((self.s == self.d).all())
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,9 @@ def feasibility_certificate(
     if not fset.contains(c.x + c.d, feas_tol):
         raise ContractError("x + d is infeasible; d must be a feasible direction")
 
-    probe = active_set(fset, c.x + t_tilde * c.d, eps)
-    if not probe.result:
+    active = fset.g(c.x + t_tilde * c.d) >= -eps
+    if not active.any():
         return CurveDecision.CURVE_OK
-    g_end = fset.g(c.p2)
-    for i in probe.result:
-        if g_end[i] > feas_tol:
-            return CurveDecision.FALL_BACK
+    if (fset.g(c.p2)[active] > feas_tol).any():
+        return CurveDecision.FALL_BACK
     return CurveDecision.CURVE_OK

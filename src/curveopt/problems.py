@@ -57,11 +57,11 @@ def _rosenbrock_grad(x):
 def _chained_rosenbrock(scale):
     def f(x):
         r = x[1:] - x[:-1] ** 2
-        return scale * float(100.0 * np.sum(r**2) + np.sum((1.0 - x[:-1]) ** 2))
+        return scale * float(100.0 * (r**2).sum() + ((1.0 - x[:-1]) ** 2).sum())
 
     def grad(x):
         r = x[1:] - x[:-1] ** 2
-        g = np.zeros_like(x)
+        g = np.zeros(x.shape)
         g[:-1] += -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
         g[1:] += 200.0 * r
         return scale * g
@@ -110,7 +110,7 @@ def _diag_quadratic(n, center=None, scale=1.0):
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
     def f(x):
-        return float(np.sum(w * (x - c) ** 2))
+        return float((w * (x - c) ** 2).sum())
 
     def grad(x):
         return 2.0 * w * (x - c)
@@ -124,15 +124,15 @@ def _extended_powell(n):
     def f(x):
         x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
         return float(
-            np.sum((x1 + 10.0 * x2) ** 2)
-            + 5.0 * np.sum((x3 - x4) ** 2)
-            + np.sum((x2 - 2.0 * x3) ** 4)
-            + 10.0 * np.sum((x1 - x4) ** 4)
+            ((x1 + 10.0 * x2) ** 2).sum()
+            + 5.0 * ((x3 - x4) ** 2).sum()
+            + ((x2 - 2.0 * x3) ** 4).sum()
+            + 10.0 * ((x1 - x4) ** 4).sum()
         )
 
     def grad(x):
         x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
-        g = np.zeros_like(x)
+        g = np.zeros(x.shape)
         a = x1 + 10.0 * x2
         b = x3 - x4
         c = x2 - 2.0 * x3
@@ -150,16 +150,16 @@ def _trigonometric(n):
     idx = np.arange(1, n + 1, dtype=float)
 
     def residuals(x):
-        return n - np.sum(np.cos(x)) + idx * (1.0 - np.cos(x)) - np.sin(x)
+        return n - np.cos(x).sum() + idx * (1.0 - np.cos(x)) - np.sin(x)
 
     def f(x):
-        return float(np.sum(residuals(x) ** 2))
+        return float((residuals(x) ** 2).sum())
 
     def grad(x):
         r = residuals(x)
         # J[i, j] = sin(x_j) for j != i; diagonal adds (i+1) sin(x_i) - cos(x_i) - ... see residual
         s = np.sin(x)
-        g = 2.0 * np.sum(r) * s
+        g = 2.0 * r.sum() * s
         g += 2.0 * r * (idx * s - np.cos(x))
         return g
 
@@ -168,11 +168,11 @@ def _trigonometric(n):
 
 def _engval1(n):
     def f(x):
-        return float(np.sum((x[:-1] ** 2 + x[1:] ** 2) ** 2) + np.sum(-4.0 * x[:-1] + 3.0))
+        return float(((x[:-1] ** 2 + x[1:] ** 2) ** 2).sum() + (-4.0 * x[:-1] + 3.0).sum())
 
     def grad(x):
         t = x[:-1] ** 2 + x[1:] ** 2
-        g = np.zeros_like(x)
+        g = np.zeros(x.shape)
         g[:-1] += 4.0 * x[:-1] * t - 4.0
         g[1:] += 4.0 * x[1:] * t
         return g
@@ -182,13 +182,13 @@ def _engval1(n):
 
 def _arwhead(n):
     def f(x):
-        return float(np.sum((x[:-1] ** 2 + x[-1] ** 2) ** 2 - 4.0 * x[:-1] + 3.0))
+        return float(((x[:-1] ** 2 + x[-1] ** 2) ** 2 - 4.0 * x[:-1] + 3.0).sum())
 
     def grad(x):
         t = x[:-1] ** 2 + x[-1] ** 2
-        g = np.zeros_like(x)
+        g = np.zeros(x.shape)
         g[:-1] = 4.0 * x[:-1] * t - 4.0
-        g[-1] += np.sum(4.0 * x[-1] * t)
+        g[-1] += (4.0 * x[-1] * t).sum()
         return g
 
     return f, grad
@@ -200,11 +200,11 @@ def _tridiagonal(n, scale):
 
     def f(x):
         r = 2.0 * x[1:] - x[:-1]
-        return scale * float((x[0] - 1.0) ** 2 + np.sum(idx * r**2))
+        return scale * float((x[0] - 1.0) ** 2 + (idx * r**2).sum())
 
     def grad(x):
         r = 2.0 * x[1:] - x[:-1]
-        g = np.zeros_like(x)
+        g = np.zeros(x.shape)
         g[0] = 2.0 * (x[0] - 1.0)
         g[1:] += 4.0 * idx * r
         g[:-1] += -2.0 * idx * r

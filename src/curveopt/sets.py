@@ -52,7 +52,7 @@ class ConvexFeasibleSet:
         return np.asarray(self.eval_g_grad(np.asarray(x, dtype=float), i), dtype=float)
 
     def max_violation(self, x: Vector) -> float:
-        return float(np.max(self.g(x)))
+        return float(self.g(x).max())
 
     def contains(self, x: Vector, tol: float = FEAS_TOL) -> bool:
         return self.max_violation(x) <= tol
@@ -85,14 +85,15 @@ def make_sphere(n: int, center: Vector | None = None, radius: float = 10.0) -> C
     r2 = radius * radius
 
     def g(x):
-        return np.array([float(np.dot(x - c, x - c)) - r2])
+        d = x - c
+        return np.array([float(d.dot(d)) - r2])
 
     def g_grad(x, i):
         return 2.0 * (x - c)
 
     def project(x):
         d = x - c
-        nrm = float(np.linalg.norm(d))
+        nrm = math.sqrt(d.dot(d))
         if nrm <= radius:
             return np.array(x, dtype=float)
         return c + (radius / nrm) * d
@@ -102,6 +103,11 @@ def make_sphere(n: int, center: Vector | None = None, radius: float = 10.0) -> C
 
 # ---------------------------------------------------------------------------
 # box
+
+
+def _clip(a: Vector, lo: float, hi: float) -> Vector:
+    """np.clip(a, lo, hi), same values at about half the call overhead."""
+    return np.minimum(np.maximum(a, lo), hi)
 
 
 def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
@@ -121,7 +127,7 @@ def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
         return e
 
     def project(x):
-        return np.clip(x, lo, hi)
+        return _clip(x, lo, hi)
 
     return ConvexFeasibleSet("box", n, 2 * n, g, g_grad, project)
 
@@ -154,7 +160,7 @@ def make_ellipsoid(
 
     def g(x):
         d = x - c
-        return np.array([float(np.sum(d * d / p)) - rhs])
+        return np.array([float((d * d / p).sum()) - rhs])
 
     def g_grad(x, i):
         return 2.0 * (x - c) / p
@@ -167,7 +173,7 @@ def make_ellipsoid(
         # KKT of min ||x - z||^2 s.t. g(x) <= 0:  x(lam) = c + p d / (p + 2 lam)
         def phi(lam):
             w = p * d / (p + 2.0 * lam)
-            return float(np.sum(w * w / p)) - rhs
+            return float((w * w / p).sum()) - rhs
 
         lo, hi = 0.0, 1.0
         it = 0
@@ -187,7 +193,7 @@ def make_ellipsoid(
                 hi = lam
             # Newton step on phi, safeguarded by the bracket
             w = p + 2.0 * lam
-            dphi = float(np.sum(-4.0 * p * d * d / w**3))
+            dphi = float((-4.0 * p * d * d / w**3).sum())
             lam_newton = lam - val / dphi if dphi != 0.0 else lam
             if lo < lam_newton < hi:
                 lam = lam_newton
@@ -212,9 +218,8 @@ def make_composite(n: int) -> ConvexFeasibleSet:
     radius = 10.0
 
     def g(x):
-        head = np.array(
-            [float(np.dot(x - c, x - c)) - 100.0, float(np.dot(w, x)) - 5.0]
-        )
+        d = x - c
+        head = np.array([float(d.dot(d)) - 100.0, float(np.dot(w, x)) - 5.0])
         return np.concatenate([head, x - hi, lo - x])
 
     def g_grad(x, i):
@@ -242,18 +247,14 @@ def make_composite(n: int) -> ConvexFeasibleSet:
         """1/rt - 1/||x - c|| for d2 = ||x - c||^2."""
         return 1.0 / rt - 1.0 / math.sqrt(d2) if d2 > 0.0 else -math.inf
 
-    def clip(a):
-        # same result as np.clip at about half its call overhead
-        return np.minimum(np.maximum(a, lo), hi)
-
     def x_of(a, nu):
-        return clip(a - nu * w)
+        return _clip(a - nu * w, lo, hi)
 
     def h(x):
         return float(np.dot(w, x)) - 5.0
 
     def project_halfspace_box(a):
-        x_i = clip(a)
+        x_i = _clip(a, lo, hi)
         h_i = h(x_i)
         if h_i <= 0.0:
             return x_i

@@ -12,6 +12,7 @@ baseline, backtracks along the straight line by quadratic interpolation.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -75,6 +76,10 @@ STATUS_STATIONARY = "stationary"
 STATUS_ITER_LIMIT = "iter_limit"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_SEARCH_FAILURE = "search_failure"
+#: f or a gradient entry at the projected start or an accepted step was
+#: inf or NaN; the run keeps the last iterate where both were finite, or
+#: the start when it is the start that is not
+STATUS_NON_FINITE = "non_finite"
 
 
 @dataclass
@@ -116,6 +121,7 @@ class RunRecord:
     dim: int = 0
     final_x: Vector | None = None
     max_g_final: float = float("nan")
+    detail: str = ""  # why a non_finite or error run stopped
     trace: list[IterationRecord] | None = field(default=None, repr=False)
 
 
@@ -225,7 +231,7 @@ def stationarity_measure(
     if grad is None:
         grad = p.grad(x)
     step = fset.project(x - grad) - x
-    return float(np.max(np.abs(step))) if step.size else 0.0
+    return float(np.abs(step).max()) if step.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +256,8 @@ class _CurveStep:
         first = self.x_prev is None
         x_prev = x if first else self.x_prev
         d = pz - x
-        proj_required = float(np.linalg.norm(z - pz)) > _PROJ_ACTIVE_TOL
+        moved = z - pz
+        proj_required = math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
         s_candidate = build_secondary_direction(d, x, x_prev, cfg.alpha, self.beta, eta)
         s = s_candidate
 
@@ -331,6 +338,15 @@ class _LineStep:
         )
 
 
+def _non_finite(f: float, grad: Vector, k: int) -> str:
+    """What of f and grad at iterate k is not finite, or "" when both are."""
+    if not math.isfinite(f):
+        return f"f = {f!r} at iterate {k}"
+    if not np.isfinite(grad).all():
+        return f"non-finite gradient at iterate {k}"
+    return ""
+
+
 def _drive(
     name: str,
     step,
@@ -343,7 +359,9 @@ def _drive(
     """The iteration shared by SCS and SPG.
 
     `step(x, fx, grad, eta, z, project(z), f_ref, rec)` returns the accepted
-    (x_next, f_next) or raises SearchFailureError, which ends the run.
+    (x_next, f_next) or raises SearchFailureError, which ends the run.  A
+    non-finite f or gradient at the projected start or at an accepted step
+    ends it too, before anything is projected from that point.
     """
     t0 = time.perf_counter()
     x = fset.project(np.array(p.start if x0 is None else x0, dtype=float))
@@ -353,7 +371,10 @@ def _drive(
     f_hist: deque[float] = deque([fx], maxlen=cfg.M + 1)
     trace: list[IterationRecord] | None = [] if record_trace else None
     k = 0
-    while True:
+    stat = math.nan
+    detail = _non_finite(fx, grad, 0)
+    status = STATUS_NON_FINITE if detail else None
+    while status is None:
         stat = stationarity_measure(p, fset, x, grad)
         rec = None
         if trace is not None:
@@ -383,6 +404,10 @@ def _drive(
             rec.f_ref = f_ref
 
         grad_next = p.grad(x_next)
+        detail = _non_finite(f_next, grad_next, k + 1)
+        if detail:
+            status = STATUS_NON_FINITE
+            break
         eta = spectral_eta(x_next - x, grad_next - grad, cfg.eta_min, cfg.eta_max)
         x = x_next
         fx = f_next
@@ -405,6 +430,7 @@ def _drive(
         dim=p.dim,
         final_x=np.array(x),
         max_g_final=fset.max_violation(x),
+        detail=detail,
         trace=trace,
     )
 

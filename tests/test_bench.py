@@ -5,7 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from curveopt.bench import (
+    CSV_COLUMNS,
     CSV_SCHEMA_COMMENT,
+    STATUS_ERROR,
     BenchPlan,
     boundary_subset,
     instance_id,
@@ -19,7 +21,7 @@ from curveopt.bench import (
 )
 from curveopt.cli import main as cli_main
 from curveopt.errors import EmptyProfileError, PlanError
-from curveopt.solvers import RunRecord, SolverConfig
+from curveopt.solvers import SOLVERS, RunRecord, SolverConfig
 
 
 def mk(
@@ -164,6 +166,38 @@ def test_run_plan_parallel_matches_serial(small_records):
         assert a.iterations == b.iterations
         assert a.f_star == b.f_star
         assert np.array_equal(a.final_x, b.final_x)
+
+
+def test_run_plan_records_a_raising_run_and_finishes_the_rest(monkeypatch):
+    def boom(p, fset, cfg, record_trace, x0):
+        raise RuntimeError(f"boom on {p.name}")
+
+    monkeypatch.setitem(SOLVERS, "boom", boom)
+    plan = BenchPlan(
+        problems=("rosenbrock2", "beale2"),
+        sets=("box",),
+        solvers=(("boom", 3), ("spg", 0)),
+        overrides={"max_iters": 50},
+    )
+    records = run_plan(plan, jobs=1)
+    assert len(records) == 4
+    failed = [r for r in records if r.solver_name == "boom"]
+    assert [r.problem_name for r in failed] == ["beale2", "rosenbrock2"]
+    for r in failed:
+        assert r.status == STATUS_ERROR
+        assert r.detail == f"RuntimeError: boom on {r.problem_name}"
+        assert np.isnan(r.f_star) and np.isnan(r.stationarity)
+        assert (r.iterations, r.fallbacks, r.adaptive_reductions) == (0, 0, 0)
+        assert (r.M, r.dim) == (3, 2)
+    for r in records:
+        if r.solver_name == "spg":
+            assert r.status != STATUS_ERROR and r.detail == ""
+            assert np.isfinite(r.f_star)
+    # the v1 CSV carries the status but not the detail
+    assert "detail" not in CSV_COLUMNS
+    back = records_from_csv(records_to_csv(records))
+    assert [r.status for r in back] == [r.status for r in records]
+    assert all(r.detail == "" for r in back)
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +408,19 @@ def test_cli_seed_override(tmp_path):
     ra = records_from_csv((out_a / "records.csv").read_text())
     rb = records_from_csv((out_b / "records.csv").read_text())
     assert ra[0].f_star != rb[0].f_star or ra[0].iterations != rb[0].iterations
+
+
+def test_cli_run_reports_errored_runs(tmp_path, monkeypatch):
+    def boom(p, fset, cfg, record_trace, x0):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(SOLVERS, "boom", boom)
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("problems = beale2\nsets = box\nsolvers = boom:0, spg:0\n")
+    out_dir = tmp_path / "results"
+    res = CliRunner().invoke(cli_main, ["run", "--plan", str(plan_file), "--out", str(out_dir)])
+    assert res.exit_code == 0, res.output
+    assert "2 runs (1 stationary)" in res.stdout
+    assert res.stderr == "boom:0 beale2/box: RuntimeError: boom\n"
+    statuses = {r.solver_name: r.status for r in records_from_csv((out_dir / "records.csv").read_text())}
+    assert statuses == {"boom": STATUS_ERROR, "spg": "stationary"}

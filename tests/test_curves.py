@@ -10,7 +10,7 @@ from curveopt.curves import (
     reconstruct_from_hull,
 )
 from curveopt.errors import ContractError, DomainError
-from curveopt.sets import ConvexFeasibleSet
+from curveopt.sets import FEAS_TOL, SET_NAMES, ConvexFeasibleSet, active_set, make_set
 
 
 def halfspace_x1(n=2):
@@ -281,3 +281,84 @@ def test_certificate_accepts_then_grid_has_feasible_prefix():
             t_bar = t
             break
     assert t_bar is not None
+
+
+# ---------------------------------------------------------------------------
+# certificate against its index-loop reference
+
+
+def certificate_by_index_loop(c, fset, t_tilde, eps, feas_tol=FEAS_TOL):
+    """Reference decision: active_set at the probe, then a loop over its indices."""
+    probe = active_set(fset, c.x + t_tilde * c.d, eps)
+    if not probe.result:
+        return CurveDecision.CURVE_OK
+    g_end = fset.g(c.p2)
+    for i in probe.result:
+        if g_end[i] > feas_tol:
+            return CurveDecision.FALL_BACK
+    return CurveDecision.CURVE_OK
+
+
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_certificate_matches_index_loop_on_random_curves(name):
+    rng = np.random.default_rng(11)
+    n = 4
+    fset = make_set(name, n)
+    seen = set()
+    for _ in range(400):
+        # projections of far points land on the boundary, so that
+        # constraints are active at the probe
+        x = fset.project(rng.uniform(-30.0, 30.0, n))
+        d = fset.project(x + rng.uniform(-30.0, 30.0, n) * rng.uniform()) - x
+        s = d + rng.normal(size=n) * rng.uniform(0.0, 5.0)
+        c = QuadraticCurve(x, d, s)
+        t_tilde = rng.uniform(0.05, 0.95)
+        eps = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+        want = certificate_by_index_loop(c, fset, t_tilde, eps)
+        assert feasibility_certificate(c, fset, t_tilde, eps) is want
+        seen.add(want)
+    assert seen == set(CurveDecision)
+
+
+def nan_flagged_halfspace():
+    """g = (x0, x0 - 0.1) with g_1 NaN for 0 < x1 < 1 and g_0 NaN for x1 >= 2."""
+
+    def g(x):
+        out = np.array([x[0], x[0] - 0.1])
+        if 0.0 < x[1] < 1.0:
+            out[1] = np.nan
+        if x[1] >= 2.0:
+            out[0] = np.nan
+        return out
+
+    def g_grad(x, i):
+        return np.array([1.0, 0.0])
+
+    def project(x):
+        out = np.array(x, dtype=float)
+        out[0] = min(out[0], 0.0)
+        return out
+
+    return ConvexFeasibleSet("nanhalf", 2, 2, g, g_grad, project)
+
+
+@pytest.mark.parametrize(
+    "x0, eps, s, want",
+    [
+        # g_0 at the probe equals -eps exactly: active, and the endpoint violates it
+        (-0.25, 0.25, [0.5, 1.0], CurveDecision.FALL_BACK),
+        # one ulp less relaxation: nothing is active
+        (-0.25, np.nextafter(0.25, 0.0), [0.5, 1.0], CurveDecision.CURVE_OK),
+        # g_0 = 0 is active at the probe, g_1 is NaN there; the endpoint violates g_0
+        (0.0, 0.0, [0.5, 1.0], CurveDecision.FALL_BACK),
+        # the endpoint's g_0 is NaN, which is no violation
+        (0.0, 0.0, [0.5, 3.0], CurveDecision.CURVE_OK),
+    ],
+)
+def test_certificate_probe_edge_cases(x0, eps, s, want):
+    fset = nan_flagged_halfspace()
+    # x and x + d lie at x1 = 0 and x1 = 1, where g is finite; the probe at
+    # t_tilde = 0.5 lies at x1 = 0.5, where g_1 is NaN
+    c = QuadraticCurve(x=np.array([x0, 0.0]), d=np.array([0.0, 1.0]), s=np.array(s))
+    assert certificate_by_index_loop(c, fset, 0.5, eps) is want
+    assert feasibility_certificate(c, fset, 0.5, eps) is want

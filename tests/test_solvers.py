@@ -6,6 +6,7 @@ from curveopt.errors import SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
 from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
+    STATUS_NON_FINITE,
     STATUS_SEARCH_FAILURE,
     STATUS_STATIONARY,
     SolverConfig,
@@ -260,6 +261,54 @@ def test_search_failure_ends_run(solver):
     assert rec.f_star == 2.0
 
 
+def log_barrier2():
+    """f = log(x0 + 0.5) + x1^2 from (0.5, 0.5): the unit step lands on f = -inf."""
+
+    def f(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(x[0] + 0.5) + x[1] ** 2
+
+    def grad(x):
+        with np.errstate(divide="ignore"):
+            return np.array([1.0 / (x[0] + 0.5), 2.0 * x[1]])
+
+    return SmoothProblem("logbar2", 2, f, grad, np.array([0.5, 0.5]))
+
+
+def nan_gradient2(nan_below):
+    """f = ||x||^2 from (0.5, 0.5) whose gradient is NaN where x0 < nan_below."""
+
+    def grad(x):
+        return np.full(2, np.nan) if x[0] < nan_below else 2.0 * x
+
+    return SmoothProblem("nangrad2", 2, lambda x: float(np.dot(x, x)), grad, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("solver", ("scs", "spg"))
+@pytest.mark.parametrize("set_name", ("sph", "ell", "com", "box"))
+def test_minus_inf_objective_ends_run(solver, set_name):
+    rec = solve(solver, log_barrier2(), make_set(set_name, 2))
+    assert rec.status == STATUS_NON_FINITE
+    assert rec.detail == "f = -inf at iterate 1"
+    assert rec.iterations == 0
+    assert rec.f_star == 0.25
+    assert np.array_equal(rec.final_x, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("solver", ("scs", "spg"))
+@pytest.mark.parametrize("set_name", ("sph", "ell", "com", "box"))
+@pytest.mark.parametrize("nan_below, k", ((0.25, 1), (1.0, 0)), ids=("after_step", "at_start"))
+def test_nan_gradient_ends_run(solver, set_name, nan_below, k):
+    # after_step: the first accepted step reaches x = 0; at_start: the
+    # gradient is NaN at the projected start already
+    rec = solve(solver, nan_gradient2(nan_below), make_set(set_name, 2))
+    assert rec.status == STATUS_NON_FINITE
+    assert rec.detail == f"non-finite gradient at iterate {k}"
+    assert rec.iterations == 0
+    assert rec.f_star == 0.5
+    assert np.array_equal(rec.final_x, [0.5, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # spg solver
 
@@ -463,3 +512,94 @@ def test_scs_replay_nonmonotone_composite():
 
 def test_scs_replay_ellipsoid():
     replay_run(get_problem("beale2"), make_set("ell", 2, ell_seed=5), SolverConfig(M=2))
+
+
+# ---------------------------------------------------------------------------
+# golden trajectories: (status, iterations, fallbacks, adaptive_reductions)
+# of the n <= 4 desk-plan runs (seed 0, max_iters 400).  A change meant to
+# keep results bit-identical, such as rewriting an array expression, must
+# leave this table as it is.  At n <= 4 no BLAS summation order enters.
+
+GOLDEN = {
+    ("beale2", "box", "scs", 0): ("stationary", 9, 1, 0),
+    ("beale2", "box", "scs", 10): ("stationary", 12, 1, 0),
+    ("beale2", "box", "spg", 0): ("stationary", 8, 0, 0),
+    ("beale2", "box", "spg", 10): ("stationary", 8, 0, 0),
+    ("beale2", "com", "scs", 0): ("stationary", 39, 1, 0),
+    ("beale2", "com", "scs", 10): ("stationary", 38, 1, 0),
+    ("beale2", "com", "spg", 0): ("stationary", 171, 0, 0),
+    ("beale2", "com", "spg", 10): ("stationary", 36, 0, 0),
+    ("beale2", "ell", "scs", 0): ("stationary", 75, 1, 0),
+    ("beale2", "ell", "scs", 10): ("stationary", 50, 1, 0),
+    ("beale2", "ell", "spg", 0): ("stationary", 129, 0, 0),
+    ("beale2", "ell", "spg", 10): ("stationary", 34, 0, 0),
+    ("beale2", "sph", "scs", 0): ("stationary", 50, 1, 0),
+    ("beale2", "sph", "scs", 10): ("stationary", 101, 1, 0),
+    ("beale2", "sph", "spg", 0): ("stationary", 71, 0, 0),
+    ("beale2", "sph", "spg", 10): ("stationary", 38, 0, 0),
+    ("chnrosnb4", "box", "scs", 0): ("stationary", 22, 2, 2),
+    ("chnrosnb4", "box", "scs", 10): ("iter_limit", 400, 3, 2),
+    ("chnrosnb4", "box", "spg", 0): ("iter_limit", 400, 0, 0),
+    ("chnrosnb4", "box", "spg", 10): ("iter_limit", 400, 0, 0),
+    ("chnrosnb4", "com", "scs", 0): ("iter_limit", 400, 1, 1),
+    ("chnrosnb4", "com", "scs", 10): ("iter_limit", 400, 1, 0),
+    ("chnrosnb4", "com", "spg", 0): ("iter_limit", 400, 0, 0),
+    ("chnrosnb4", "com", "spg", 10): ("iter_limit", 400, 0, 0),
+    ("chnrosnb4", "ell", "scs", 0): ("iter_limit", 400, 1, 1),
+    ("chnrosnb4", "ell", "scs", 10): ("iter_limit", 400, 1, 1),
+    ("chnrosnb4", "ell", "spg", 0): ("iter_limit", 400, 0, 0),
+    ("chnrosnb4", "ell", "spg", 10): ("iter_limit", 400, 0, 0),
+    ("chnrosnb4", "sph", "scs", 0): ("iter_limit", 400, 1, 1),
+    ("chnrosnb4", "sph", "scs", 10): ("iter_limit", 400, 1, 0),
+    ("chnrosnb4", "sph", "spg", 0): ("iter_limit", 400, 0, 0),
+    ("chnrosnb4", "sph", "spg", 10): ("iter_limit", 400, 0, 0),
+    ("rosenbrock2", "box", "scs", 0): ("stationary", 1, 1, 0),
+    ("rosenbrock2", "box", "scs", 10): ("stationary", 1, 1, 0),
+    ("rosenbrock2", "box", "spg", 0): ("stationary", 1, 0, 0),
+    ("rosenbrock2", "box", "spg", 10): ("stationary", 1, 0, 0),
+    ("rosenbrock2", "com", "scs", 0): ("stationary", 129, 1, 2),
+    ("rosenbrock2", "com", "scs", 10): ("stationary", 81, 1, 2),
+    ("rosenbrock2", "com", "spg", 0): ("stationary", 105, 0, 0),
+    ("rosenbrock2", "com", "spg", 10): ("stationary", 44, 0, 0),
+    ("rosenbrock2", "ell", "scs", 0): ("stationary", 82, 1, 1),
+    ("rosenbrock2", "ell", "scs", 10): ("iter_limit", 400, 1, 1),
+    ("rosenbrock2", "ell", "spg", 0): ("stationary", 142, 0, 0),
+    ("rosenbrock2", "ell", "spg", 10): ("iter_limit", 400, 0, 0),
+    ("rosenbrock2", "sph", "scs", 0): ("iter_limit", 400, 1, 0),
+    ("rosenbrock2", "sph", "scs", 10): ("iter_limit", 400, 1, 0),
+    ("rosenbrock2", "sph", "spg", 0): ("stationary", 244, 0, 0),
+    ("rosenbrock2", "sph", "spg", 10): ("stationary", 56, 0, 0),
+    ("wood4", "box", "scs", 0): ("stationary", 1, 1, 0),
+    ("wood4", "box", "scs", 10): ("stationary", 1, 1, 0),
+    ("wood4", "box", "spg", 0): ("stationary", 1, 0, 0),
+    ("wood4", "box", "spg", 10): ("stationary", 1, 0, 0),
+    ("wood4", "com", "scs", 0): ("stationary", 105, 1, 0),
+    ("wood4", "com", "scs", 10): ("stationary", 145, 1, 0),
+    ("wood4", "com", "spg", 0): ("stationary", 23, 0, 0),
+    ("wood4", "com", "spg", 10): ("stationary", 333, 0, 0),
+    ("wood4", "ell", "scs", 0): ("stationary", 125, 1, 0),
+    ("wood4", "ell", "scs", 10): ("stationary", 175, 1, 0),
+    ("wood4", "ell", "spg", 0): ("stationary", 27, 0, 0),
+    ("wood4", "ell", "spg", 10): ("iter_limit", 400, 0, 0),
+    ("wood4", "sph", "scs", 0): ("iter_limit", 400, 1, 0),
+    ("wood4", "sph", "scs", 10): ("iter_limit", 400, 1, 1),
+    ("wood4", "sph", "spg", 0): ("iter_limit", 400, 0, 0),
+    ("wood4", "sph", "spg", 10): ("iter_limit", 400, 0, 0),
+}
+
+
+def test_golden_trajectories():
+    cfgs = {m: SolverConfig(M=m, max_iters=400) for m in (0, 10)}
+    got = {}
+    for problem, set_name, solver, m in GOLDEN:
+        p = get_problem(problem)
+        # the ellipsoid a plan with seed 0 builds
+        fset = make_set(set_name, p.dim, ell_seed=p.dim)
+        rec = solve(solver, p, fset, cfgs[m])
+        got[problem, set_name, solver, m] = (
+            rec.status,
+            rec.iterations,
+            rec.fallbacks,
+            rec.adaptive_reductions,
+        )
+    assert got == GOLDEN
