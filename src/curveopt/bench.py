@@ -76,6 +76,10 @@ class BenchPlan:
         bad = set(self.overrides) - _CONFIG_DEFAULTS.keys()
         if bad:
             raise PlanError(f"unknown config overrides: {sorted(bad)}")
+        try:
+            SolverConfig(**self.overrides)
+        except ValueError as exc:
+            raise PlanError(f"invalid config overrides: {exc}") from exc
 
 
 def parse_plan(text: str) -> BenchPlan:

@@ -170,9 +170,11 @@ def make_ellipsoid(
         if g(z)[0] <= 0.0:
             return np.array(z)
         d = z - c
+        pd = p * d
+        dphi_num = -4.0 * p * d * d
         # KKT of min ||x - z||^2 s.t. g(x) <= 0:  x(lam) = c + p d / (p + 2 lam)
         def phi(lam):
-            w = p * d / (p + 2.0 * lam)
+            w = pd / (p + 2.0 * lam)
             return float((w * w / p).sum()) - rhs
 
         lo, hi = 0.0, 1.0
@@ -193,7 +195,7 @@ def make_ellipsoid(
                 hi = lam
             # Newton step on phi, safeguarded by the bracket
             w = p + 2.0 * lam
-            dphi = float((-4.0 * p * d * d / w**3).sum())
+            dphi = float((dphi_num / w**3).sum())
             lam_newton = lam - val / dphi if dphi != 0.0 else lam
             if lo < lam_newton < hi:
                 lam = lam_newton
@@ -201,7 +203,7 @@ def make_ellipsoid(
                 lam = 0.5 * (lo + hi)
         else:
             raise ProjectionError("ellipsoid projection: root finder did not converge")
-        return c + p * d / (p + 2.0 * lam)
+        return c + pd / (p + 2.0 * lam)
 
     return ConvexFeasibleSet("ell", n, 1, g, g_grad, project)
 

@@ -70,6 +70,8 @@ class SolverConfig:
             raise ValueError("max_iters must be nonnegative")
         if not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be nonnegative")
 
 
 STATUS_STATIONARY = "stationary"
@@ -82,9 +84,14 @@ STATUS_SEARCH_FAILURE = "search_failure"
 STATUS_NON_FINITE = "non_finite"
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
-    """Per-iteration trace entry: the iterate plus the step taken from it."""
+    """Per-iteration trace entry: the iterate plus the step taken from it.
+
+    The arrays are the run's own, not copies: `s is s_candidate` on a
+    momentum step without adaptive momentum and `s is d` on a fallback.  The
+    solver never writes into them, and neither may a reader of the trace.
+    """
 
     k: int
     x: Vector
@@ -121,7 +128,7 @@ class RunRecord:
     dim: int = 0
     final_x: Vector | None = None
     max_g_final: float = float("nan")
-    detail: str = ""  # why a non_finite or error run stopped
+    detail: str = ""  # why a non_finite, search_failure or error run stopped
     trace: list[IterationRecord] | None = field(default=None, repr=False)
 
 
@@ -191,7 +198,7 @@ def adaptive_momentum(
         beta_k *= delta
     raise SearchFailureError(
         "momentum reduction exhausted its budget",
-        last_trial=beta_k,
+        last_trial=beta_k / delta,
         failed_condition="feasibility",
     )
 
@@ -292,9 +299,9 @@ class _CurveStep:
             rec.beta_used = beta_k
             rec.eps = self.eps
             rec.grad_dot_d = grad_dot_d
-            rec.d = np.array(d)
-            rec.s = np.array(s)
-            rec.s_candidate = np.array(s_candidate)
+            rec.d = d
+            rec.s = s
+            rec.s_candidate = s_candidate
             rec.straight_line = curve.is_straight_line()
 
         if cfg.dynamic_beta:
@@ -326,14 +333,15 @@ class _LineStep:
                 if rec is not None:
                     rec.t = lam
                     rec.grad_dot_d = grad_dot_d
-                    rec.d = np.array(d)
+                    rec.d = d
                     rec.straight_line = True
                 return xt, ft
             denom = 2.0 * (ft - fx - lam * grad_dot_d)
             lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
-            lam = min(0.9 * lam, max(0.1 * lam, lam_new))
+            tried, lam = lam, min(0.9 * lam, max(0.1 * lam, lam_new))
         raise SearchFailureError(
             f"line search exhausted {cfg.max_backtracks} backtracks",
+            last_trial=tried,
             failed_condition="sufficient_decrease",
         )
 
@@ -379,7 +387,7 @@ def _drive(
         rec = None
         if trace is not None:
             rec = IterationRecord(
-                k=k, x=np.array(x), f=fx, stationarity=stat, max_g=fset.max_violation(x)
+                k=k, x=x, f=fx, stationarity=stat, max_g=fset.max_violation(x)
             )
             trace.append(rec)
         if stat <= cfg.stat_tol:
@@ -396,8 +404,12 @@ def _drive(
         f_ref = max(f_hist)
         try:
             x_next, f_next = step(x, fx, grad, eta, z, fset.project(z), f_ref, rec)
-        except SearchFailureError:
+        except SearchFailureError as exc:
             status = STATUS_SEARCH_FAILURE
+            detail = (
+                f"{exc}: {exc.failed_condition} failed at iterate {k}, "
+                f"last trial {exc.last_trial!r}"
+            )
             break
         if rec is not None:
             rec.eta = eta

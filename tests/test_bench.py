@@ -114,6 +114,7 @@ def test_parse_plan_rejects_unknown_key():
         BenchPlan(("beale2",), ("box",), (("newton", 0),)),
         BenchPlan(("beale2",), ("box",), (("scs", -1),)),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"nope": 1}),
+        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"t_tilde": 1.5}),
     ],
 )
 def test_plan_validate_rejects(plan):

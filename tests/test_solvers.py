@@ -163,6 +163,8 @@ def test_adaptive_momentum_budget_exhausted():
             max_backtracks=5,
         )
     assert exc.value.failed_condition == "feasibility"
+    # the last weight tried, 0.9 * 0.5**5
+    assert exc.value.last_trial == 0.028125
 
 
 def test_curve_search_worked_trace():
@@ -232,7 +234,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("t_tilde", 1.5), ("eps_decay", 2.0), ("max_iters", -3), ("time_limit", -1.0)],
+    [
+        ("t_tilde", 1.5),
+        ("eps_decay", 2.0),
+        ("max_iters", -3),
+        ("time_limit", -1.0),
+        ("max_backtracks", -1),
+    ],
 )
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
@@ -251,14 +259,51 @@ def test_solver_dispatch():
         solve("newton", p, b)
 
 
-@pytest.mark.parametrize("solver", ("scs", "spg"))
-def test_search_failure_ends_run(solver):
-    # f = 2 x^2 from x = 1: the unit trial overshoots to -3 and fails
-    # Armijo, and max_backtracks = 0 leaves no second trial
-    rec = solve(solver, steep1(), make_box(1, lo=-10.0, hi=10.0), SolverConfig(max_backtracks=0))
+@pytest.mark.parametrize(
+    "solver, problem, fset, iterations, f_star, detail",
+    [
+        # f = 2 x^2 from x = 1: the unit trial overshoots to -3 and fails
+        # Armijo, and max_backtracks = 0 leaves no second trial
+        pytest.param(
+            "scs",
+            steep1(),
+            make_box(1, lo=-10.0, hi=10.0),
+            0,
+            2.0,
+            "curve search exhausted 0 backtracks: "
+            "sufficient_decrease failed at iterate 0, last trial 1.0",
+            id="scs",
+        ),
+        pytest.param(
+            "spg",
+            steep1(),
+            make_box(1, lo=-10.0, hi=10.0),
+            0,
+            2.0,
+            "line search exhausted 0 backtracks: "
+            "sufficient_decrease failed at iterate 0, last trial 1.0",
+            id="spg",
+        ),
+        # chnrosnb4's sixth step on the box leaves the set at the momentum
+        # weight 0.9, and max_backtracks = 0 leaves no smaller weight
+        pytest.param(
+            "scs",
+            get_problem("chnrosnb4"),
+            make_set("box", 4),
+            5,
+            pytest.approx(36.67833854215012),
+            "momentum reduction exhausted its budget: "
+            "feasibility failed at iterate 5, last trial 0.9",
+            id="scs-momentum",
+        ),
+    ],
+)
+def test_search_failure_ends_run(solver, problem, fset, iterations, f_star, detail):
+    rec = solve(solver, problem, fset, SolverConfig(max_backtracks=0))
     assert rec.status == STATUS_SEARCH_FAILURE
-    assert rec.iterations == 0
-    assert rec.f_star == 2.0
+    assert rec.iterations == iterations
+    assert rec.f_star == f_star
+    assert rec.detail == detail
 
 
 def log_barrier2():
@@ -514,6 +559,25 @@ def test_scs_replay_ellipsoid():
     replay_run(get_problem("beale2"), make_set("ell", 2, ell_seed=5), SolverConfig(M=2))
 
 
+def test_trace_shares_step_arrays():
+    # chnrosnb4 on the box takes fallback, adaptive-momentum and plain
+    # momentum steps
+    fset = make_set("box", 4)
+    rec = scs_solve(get_problem("chnrosnb4"), fset, record_trace=True)
+    steps = [r for r in rec.trace if r.t is not None]
+    plain = [r for r in steps if not r.fallback and not r.adaptive]
+    fallbacks = [r for r in steps if r.fallback]
+    assert plain and fallbacks and len(plain) + len(fallbacks) < len(steps)
+    for r in plain:
+        assert r.s is r.s_candidate
+    for r in fallbacks:
+        assert r.s is r.d
+    for r in rec.trace:
+        assert r.max_g == fset.max_violation(r.x)
+    assert rec.final_x is not rec.trace[-1].x
+    assert np.array_equal(rec.final_x, rec.trace[-1].x)
+
+
 # ---------------------------------------------------------------------------
 # golden trajectories: (status, iterations, fallbacks, adaptive_reductions)
 # of the n <= 4 desk-plan runs (seed 0, max_iters 400).  A change meant to
@@ -603,3 +667,17 @@ def test_golden_trajectories():
             rec.adaptive_reductions,
         )
     assert got == GOLDEN
+
+
+def test_traced_and_untraced_runs_agree():
+    cfgs = {m: SolverConfig(M=m, max_iters=400) for m in (0, 10)}
+    for problem, set_name, solver, m in GOLDEN:
+        p = get_problem(problem)
+        fset = make_set(set_name, p.dim, ell_seed=p.dim)
+        plain, traced = (
+            solve(solver, p, fset, cfgs[m], record_trace=on) for on in (False, True)
+        )
+        assert traced.status == plain.status
+        assert traced.iterations == plain.iterations
+        assert repr(traced.f_star) == repr(plain.f_star)
+        assert traced.final_x.tobytes() == plain.final_x.tobytes()
