@@ -27,7 +27,6 @@ from .solvers import (
     curve_search,
     scs_solve,
     spectral_eta,
-    spg_direction,
     spg_solve,
     stationarity_measure,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "make_sphere",
     "scs_solve",
     "spectral_eta",
-    "spg_direction",
     "spg_solve",
     "stationarity_measure",
 ]

@@ -24,6 +24,7 @@ from .solvers import (
     RunRecord,
     SolverConfig,
     solve,
+    trace_keeps_vectors,
 )
 
 CSV_SCHEMA_COMMENT = "# curveopt-records v1"
@@ -156,13 +157,18 @@ def _run_one(args):
         )
 
 
-def run_plan(plan: BenchPlan, jobs: int = 1, record_trace: bool = False) -> list[RunRecord]:
+def run_plan(
+    plan: BenchPlan, jobs: int = 1, record_trace: bool | str = False
+) -> list[RunRecord]:
     """Execute every (solver, problem, set) combination of the plan.
 
-    A run that raises becomes a record with status `STATUS_ERROR`; the
-    other runs still complete.
+    `record_trace` is False for no traces, True for scalar traces or
+    "vectors" for traces that also hold each iteration's arrays; any other
+    value raises ValueError before a run starts.  A run that raises becomes
+    a record with status `STATUS_ERROR`; the other runs still complete.
     """
     plan.validate()
+    trace_keeps_vectors(record_trace)
     tasks = [
         (pn, sn, solver, m, plan.overrides, plan.seed, record_trace)
         for pn in plan.problems

@@ -60,17 +60,25 @@ class SolverConfig:
             raise ValueError("alpha must be in (0, 1)")
         if not 0.0 < self.eta_min < self.eta_max:
             raise ValueError("need 0 < eta_min < eta_max")
-        if self.M < 0:
+        if not self.eta_min <= self.eta0 <= self.eta_max:
+            raise ValueError("eta0 must be in [eta_min, eta_max]")
+        if not 0.0 <= self.beta0 < 1.0:
+            raise ValueError("beta0 must be in [0, 1)")
+        if not self.eps0 >= 0.0:
+            raise ValueError("eps0 must be nonnegative")
+        if not self.stat_tol >= 0.0:
+            raise ValueError("stat_tol must be nonnegative")
+        if not self.M >= 0:
             raise ValueError("M must be nonnegative")
         if not 0.0 < self.t_tilde < 1.0:
             raise ValueError("t_tilde must be in (0, 1)")
         if not 0.0 < self.eps_decay <= 1.0:
             raise ValueError("eps_decay must be in (0, 1]")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
-        if self.max_backtracks < 0:
+        if not self.max_backtracks >= 0:
             raise ValueError("max_backtracks must be nonnegative")
 
 
@@ -84,17 +92,32 @@ STATUS_SEARCH_FAILURE = "search_failure"
 STATUS_NON_FINITE = "non_finite"
 
 
+def trace_keeps_vectors(record_trace) -> bool:
+    """Whether a trace in this `record_trace` mode holds arrays.
+
+    False records no trace, True scalar entries and "vectors" entries with
+    arrays; any other value raises ValueError.
+    """
+    if record_trace is False or record_trace is True:
+        return False
+    if record_trace == "vectors":
+        return True
+    raise ValueError(f"record_trace must be False, True or 'vectors', not {record_trace!r}")
+
+
 @dataclass(slots=True)
 class IterationRecord:
     """Per-iteration trace entry: the iterate plus the step taken from it.
 
-    The arrays are the run's own, not copies: `s is s_candidate` on a
+    With `record_trace=True` an entry holds only scalars, and `x`, `d`, `s`
+    and `s_candidate` stay None.  With `record_trace="vectors"` it also holds
+    those arrays, the run's own and not copies: `s is s_candidate` on a
     momentum step without adaptive momentum and `s is d` on a fallback.  The
     solver never writes into them, and neither may a reader of the trace.
     """
 
     k: int
-    x: Vector
+    x: Vector | None
     f: float
     stationarity: float
     max_g: float
@@ -137,20 +160,10 @@ class SearchResult:
     t: float
     x: Vector
     f: float
-    max_g: float
 
 
 # ---------------------------------------------------------------------------
 # building blocks
-
-
-def spg_direction(
-    p: SmoothProblem, fset: ConvexFeasibleSet, x: Vector, eta: float, grad: Vector | None = None
-) -> Vector:
-    """d = project(x - eta * grad f(x)) - x; feasible with unit steplength."""
-    if grad is None:
-        grad = p.grad(x)
-    return fset.project(x - eta * grad) - x
 
 
 def spectral_eta(r: Vector, y: Vector, eta_min: float, eta_max: float) -> float:
@@ -215,11 +228,10 @@ def curve_search(
     t = 1.0
     for h in range(cfg.max_backtracks + 1):
         pt = c.eval(t)
-        max_g = fset.max_violation(pt)
-        if max_g <= FEAS_TOL:
+        if fset.max_violation(pt) <= FEAS_TOL:
             fv = p.f(pt)
             if fv <= f_ref + cfg.sigma * t * grad_dot_d:
-                return SearchResult(t=t, x=pt, f=fv, max_g=max_g)
+                return SearchResult(t=t, x=pt, f=fv)
             failed = "sufficient_decrease"
         else:
             failed = "feasibility"
@@ -299,10 +311,11 @@ class _CurveStep:
             rec.beta_used = beta_k
             rec.eps = self.eps
             rec.grad_dot_d = grad_dot_d
-            rec.d = d
-            rec.s = s
-            rec.s_candidate = s_candidate
             rec.straight_line = curve.is_straight_line()
+            if rec.x is not None:  # a vector trace
+                rec.d = d
+                rec.s = s
+                rec.s_candidate = s_candidate
 
         if cfg.dynamic_beta:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / cfg.delta)
@@ -333,8 +346,9 @@ class _LineStep:
                 if rec is not None:
                     rec.t = lam
                     rec.grad_dot_d = grad_dot_d
-                    rec.d = d
                     rec.straight_line = True
+                    if rec.x is not None:  # a vector trace
+                        rec.d = d
                 return xt, ft
             denom = 2.0 * (ft - fx - lam * grad_dot_d)
             lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
@@ -361,7 +375,7 @@ def _drive(
     p: SmoothProblem,
     fset: ConvexFeasibleSet,
     cfg: SolverConfig,
-    record_trace: bool,
+    record_trace: bool | str,
     x0: Vector | None,
 ) -> RunRecord:
     """The iteration shared by SCS and SPG.
@@ -369,8 +383,11 @@ def _drive(
     `step(x, fx, grad, eta, z, project(z), f_ref, rec)` returns the accepted
     (x_next, f_next) or raises SearchFailureError, which ends the run.  A
     non-finite f or gradient at the projected start or at an accepted step
-    ends it too, before anything is projected from that point.
+    ends it too, before anything is projected from that point.  `rec` is the
+    iteration's trace entry or None; a step attaches its arrays to it only
+    when `rec.x` is set, that is in a vector trace.
     """
+    vectors = trace_keeps_vectors(record_trace)
     t0 = time.perf_counter()
     x = fset.project(np.array(p.start if x0 is None else x0, dtype=float))
     grad = p.grad(x)
@@ -387,7 +404,11 @@ def _drive(
         rec = None
         if trace is not None:
             rec = IterationRecord(
-                k=k, x=x, f=fx, stationarity=stat, max_g=fset.max_violation(x)
+                k=k,
+                x=x if vectors else None,
+                f=fx,
+                stationarity=stat,
+                max_g=fset.max_violation(x),
             )
             trace.append(rec)
         if stat <= cfg.stat_tol:
@@ -451,7 +472,7 @@ def scs_solve(
     p: SmoothProblem,
     fset: ConvexFeasibleSet,
     cfg: SolverConfig = SolverConfig(),
-    record_trace: bool = False,
+    record_trace: bool | str = False,
     x0: Vector | None = None,
 ) -> RunRecord:
     """Heavy-ball curve search with certificate-guarded momentum."""
@@ -462,7 +483,7 @@ def spg_solve(
     p: SmoothProblem,
     fset: ConvexFeasibleSet,
     cfg: SolverConfig = SolverConfig(),
-    record_trace: bool = False,
+    record_trace: bool | str = False,
     x0: Vector | None = None,
 ) -> RunRecord:
     """Spectral projected gradient with non-monotone interpolating line search."""
@@ -478,9 +499,16 @@ def solve(
     p: SmoothProblem,
     fset: ConvexFeasibleSet,
     cfg: SolverConfig = SolverConfig(),
-    record_trace: bool = False,
+    record_trace: bool | str = False,
     x0: Vector | None = None,
 ) -> RunRecord:
+    """Run the named solver from `x0`, or from the problem's start.
+
+    `record_trace` is False for no trace, True for one `IterationRecord` of
+    scalars per iteration, or "vectors" for entries that also hold the
+    iterate and the step's directions.  Any other value raises ValueError
+    before the run starts.
+    """
     if solver not in SOLVERS:
         raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")
     return SOLVERS[solver](p, fset, cfg, record_trace, x0)

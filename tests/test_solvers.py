@@ -1,6 +1,11 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from curveopt.bench import BenchPlan, run_plan
 from curveopt.curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from curveopt.errors import SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
@@ -9,6 +14,8 @@ from curveopt.solvers import (
     STATUS_NON_FINITE,
     STATUS_SEARCH_FAILURE,
     STATUS_STATIONARY,
+    SOLVERS,
+    IterationRecord,
     SolverConfig,
     adaptive_momentum,
     build_secondary_direction,
@@ -16,7 +23,6 @@ from curveopt.solvers import (
     scs_solve,
     solve,
     spectral_eta,
-    spg_direction,
     spg_solve,
     stationarity_measure,
 )
@@ -57,6 +63,11 @@ def halfspace_x1(n=2):
         return out
 
     return ConvexFeasibleSet("half", n, 1, g, g_grad, project)
+
+
+def spg_direction(p, fset, x, eta):
+    """d = project(x - eta * grad f(x)) - x; the replay oracle's primary direction."""
+    return fset.project(x - eta * p.grad(x)) - x
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +251,19 @@ def test_config_validation():
         ("max_iters", -3),
         ("time_limit", -1.0),
         ("max_backtracks", -1),
+        ("max_iters", math.nan),
+        ("max_backtracks", math.nan),
+        ("M", math.nan),
+        ("eps0", -0.1),
+        ("eps0", math.nan),
+        ("beta0", -0.5),
+        ("beta0", 1.0),
+        ("beta0", math.nan),
+        ("eta0", 1e-4),
+        ("eta0", 1e4),
+        ("eta0", math.nan),
+        ("stat_tol", -1e-3),
+        ("stat_tol", math.nan),
     ],
 )
 def test_config_rejects_out_of_range(field, value):
@@ -248,7 +272,9 @@ def test_config_rejects_out_of_range(field, value):
 
 
 def test_config_accepts_range_ends():
-    SolverConfig(eps_decay=1.0, max_iters=0)
+    SolverConfig(eps_decay=1.0, max_iters=0, beta0=0.0, eps0=0.0, stat_tol=0.0)
+    SolverConfig(eta0=SolverConfig.eta_min)
+    SolverConfig(eta0=SolverConfig.eta_max)
 
 
 def test_solver_dispatch():
@@ -404,7 +430,7 @@ def test_spg_solves_constrained_quadratic():
 
 def test_scs_first_iteration_is_straight_line():
     p = get_problem("rosenbrock2")
-    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), record_trace=True)
+    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), record_trace="vectors")
     first = rec.trace[0]
     assert first.fallback
     assert first.straight_line
@@ -428,7 +454,7 @@ def test_scs_engineered_fallback_after_first_iteration():
         lambda x: np.array([-1.0, -1.0]),
         np.array([-1.0, 0.0]),
     )
-    rec = scs_solve(p, halfspace_x1(), SolverConfig(max_iters=3), record_trace=True)
+    rec = scs_solve(p, halfspace_x1(), SolverConfig(max_iters=3), record_trace="vectors")
     assert rec.trace[1].fallback
     assert np.array_equal(rec.trace[1].s, rec.trace[1].d)
     # the rejected momentum endpoint really was infeasible
@@ -491,7 +517,7 @@ def test_scs_x0_override():
 
 def test_scs_infeasible_start_is_projected():
     p = sum_of_squares(2)
-    rec = scs_solve(p, make_box(2), x0=np.array([50.0, 50.0]), record_trace=True)
+    rec = scs_solve(p, make_box(2), x0=np.array([50.0, 50.0]), record_trace="vectors")
     assert np.allclose(rec.trace[0].x, [1.0, 1.0])
     assert rec.status == STATUS_STATIONARY
 
@@ -511,7 +537,7 @@ def test_scs_iterates_feasible_everywhere(set_name):
 
 
 def replay_run(p, fset, cfg):
-    rec = scs_solve(p, fset, cfg, record_trace=True)
+    rec = scs_solve(p, fset, cfg, record_trace="vectors")
     steps = [r for r in rec.trace if r.t is not None]
     assert steps, "expected at least one completed iteration"
     for i, r in enumerate(steps):
@@ -563,7 +589,7 @@ def test_trace_shares_step_arrays():
     # chnrosnb4 on the box takes fallback, adaptive-momentum and plain
     # momentum steps
     fset = make_set("box", 4)
-    rec = scs_solve(get_problem("chnrosnb4"), fset, record_trace=True)
+    rec = scs_solve(get_problem("chnrosnb4"), fset, record_trace="vectors")
     steps = [r for r in rec.trace if r.t is not None]
     plain = [r for r in steps if not r.fallback and not r.adaptive]
     fallbacks = [r for r in steps if r.fallback]
@@ -669,15 +695,82 @@ def test_golden_trajectories():
     assert got == GOLDEN
 
 
+VECTOR_FIELDS = ("x", "d", "s", "s_candidate")
+SCALAR_FIELDS = tuple(
+    f.name for f in dataclasses.fields(IterationRecord) if f.name not in VECTOR_FIELDS
+)
+
+
 def test_traced_and_untraced_runs_agree():
     cfgs = {m: SolverConfig(M=m, max_iters=400) for m in (0, 10)}
     for problem, set_name, solver, m in GOLDEN:
         p = get_problem(problem)
         fset = make_set(set_name, p.dim, ell_seed=p.dim)
-        plain, traced = (
-            solve(solver, p, fset, cfgs[m], record_trace=on) for on in (False, True)
+        plain, scalars, vectors = (
+            solve(solver, p, fset, cfgs[m], record_trace=mode)
+            for mode in (False, True, "vectors")
         )
-        assert traced.status == plain.status
-        assert traced.iterations == plain.iterations
-        assert repr(traced.f_star) == repr(plain.f_star)
-        assert traced.final_x.tobytes() == plain.final_x.tobytes()
+        for traced in (scalars, vectors):
+            assert traced.status == plain.status
+            assert traced.iterations == plain.iterations
+            assert repr(traced.f_star) == repr(plain.f_star)
+            assert traced.final_x.tobytes() == plain.final_x.tobytes()
+        assert len(scalars.trace) == len(vectors.trace)
+        for a, b in zip(scalars.trace, vectors.trace):
+            for name in SCALAR_FIELDS:
+                assert repr(getattr(a, name)) == repr(getattr(b, name))
+
+
+@pytest.mark.parametrize("solver", ("scs", "spg"))
+def test_scalar_trace_holds_no_arrays(solver):
+    # chnrosnb4 on the box takes fallback, adaptive-momentum and plain
+    # momentum steps under scs
+    rec = solve(solver, get_problem("chnrosnb4"), make_set("box", 4), record_trace=True)
+    assert len(rec.trace) > 1
+    for r in rec.trace:
+        assert all(getattr(r, name) is None for name in VECTOR_FIELDS)
+
+
+@pytest.mark.parametrize("mode", ("scalars", 2))
+def test_unknown_trace_mode_is_rejected_before_a_run(mode, monkeypatch):
+    calls = []
+
+    def f(x):
+        calls.append("f")
+        return float(np.dot(x, x))
+
+    def grad(x):
+        calls.append("grad")
+        return 2.0 * x
+
+    p = SmoothProblem("counted2", 2, f, grad, np.ones(2))
+    with pytest.raises(ValueError, match="record_trace"):
+        solve("scs", p, make_box(2), record_trace=mode)
+    assert calls == []
+
+    def counted(p, fset, cfg, record_trace, x0):
+        calls.append(p.name)
+        return scs_solve(p, fset, cfg, record_trace, x0)
+
+    monkeypatch.setitem(SOLVERS, "counted", counted)
+    plan = BenchPlan(problems=("rosenbrock2",), sets=("box",), solvers=(("counted", 0),))
+    with pytest.raises(ValueError, match="record_trace"):
+        run_plan(plan, record_trace=mode)
+    assert calls == []
+
+
+def test_scalar_trace_holds_a_tenth_of_a_vector_trace():
+    # a traced tridia1000/box scs:0 run of 100 iterations: the vector trace
+    # keeps four arrays of 1000 floats per entry, the scalar trace none
+    p = get_problem("tridia1000")
+    fset = make_set("box", p.dim)
+    cfg = SolverConfig(max_iters=100)
+    held = {}
+    for mode in (True, "vectors"):
+        tracemalloc.start()
+        rec = solve("scs", p, fset, cfg, record_trace=mode)
+        held[mode] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert rec.iterations == 100
+        del rec
+    assert held[True] < held["vectors"] / 10

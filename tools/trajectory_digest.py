@@ -4,15 +4,17 @@
 
 Runs the desk plan of `deskbench/harness.py` (its thirteen problems × sph,
 ell, com, box × scs:0, scs:10, spg:0, spg:10, max_iters 400, time_limit 600
-so that no run stops on time, seed 0) with `record_trace=True` and prints
-one digest over
+so that no run stops on time, seed 0) with `record_trace="vectors"` and
+prints one digest over
 
 - each problem's `records_to_csv` output without the `elapsed_s` column,
 - every field of every `IterationRecord`: floats and other scalars by
   repr, arrays by dtype, shape and bytes.
 
 Two checkouts that print the same digest ran the same trajectories bit for
-bit.  The library and the harness are imported from the checkout that
+bit.  It exits 1 if an entry lacks its iterate or an SCS step entry lacks
+`d`, `s` or `s_candidate`, so that the digest never silently covers the
+scalars alone.  The library and the harness are imported from the checkout that
 holds this script, so a copy of another commit measures that commit.
 """
 
@@ -51,12 +53,21 @@ def _records_without_elapsed(records) -> bytes:
     return "\n".join([comment, *rows]).encode()
 
 
-def digest() -> tuple[str, int, int]:
-    """(hex digest, runs, trace entries); one problem's plan at a time."""
+def _lacks_vectors(solver: str, rec) -> bool:
+    """Whether an entry misses an array that a vector trace records."""
+    names = ["x"]
+    if solver == "scs" and rec.t is not None:
+        names += ["d", "s", "s_candidate"]
+    return any(getattr(rec, name) is None for name in names)
+
+
+def digest() -> tuple[str, int, int, int]:
+    """(hex digest, runs, trace entries, entries lacking arrays); one problem's plan at a time."""
     h = hashlib.sha256()
-    runs = entries = 0
+    runs = entries = lacking = 0
     for problem in sorted(DESK_PROBLEMS):
-        records = bench.run_plan(Workload((problem,), SET_NAMES).plan(SEED), record_trace=True)
+        plan = Workload((problem,), SET_NAMES).plan(SEED)
+        records = bench.run_plan(plan, record_trace="vectors")
         h.update(_records_without_elapsed(records))
         for r in records:
             for rec in r.trace or ():
@@ -64,13 +75,17 @@ def digest() -> tuple[str, int, int]:
                     h.update(f.name.encode())
                     h.update(_encode(getattr(rec, f.name)))
                 entries += 1
+                lacking += _lacks_vectors(r.solver_name, rec)
         runs += len(records)
-    return h.hexdigest(), runs, entries
+    return h.hexdigest(), runs, entries, lacking
 
 
 def main() -> int:
-    hexdigest, runs, entries = digest()
+    hexdigest, runs, entries, lacking = digest()
     print(f"{hexdigest}  {runs} runs, {entries} trace entries")
+    if lacking:
+        print(f"error: {lacking} trace entries lack their arrays", file=sys.stderr)
+        return 1
     return 0
 
 
