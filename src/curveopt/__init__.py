@@ -10,9 +10,7 @@ from .curves import (
 from .problems import SmoothProblem, check_gradient, get_problem, list_problems
 from .sets import (
     FEAS_TOL,
-    ActiveSetQuery,
     ConvexFeasibleSet,
-    active_set,
     make_box,
     make_composite,
     make_ellipsoid,
@@ -32,7 +30,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "ActiveSetQuery",
     "ConvexFeasibleSet",
     "CurveDecision",
     "FEAS_TOL",
@@ -41,7 +38,6 @@ __all__ = [
     "RunRecord",
     "SmoothProblem",
     "SolverConfig",
-    "active_set",
     "adaptive_momentum",
     "build_secondary_direction",
     "check_gradient",

@@ -50,6 +50,12 @@ STATUS_ERROR = "error"
 #: SolverConfig field -> default; an override is parsed to its default's type
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 
+#: spellings of a boolean plan value, in any case
+_BOOL_WORDS = {
+    "true": True, "1": True, "yes": True, "on": True,
+    "false": False, "0": False, "no": False, "off": False,
+}
+
 
 @dataclass(frozen=True)
 class BenchPlan:
@@ -69,26 +75,35 @@ class BenchPlan:
         for name in self.sets:
             if name not in SET_NAMES:
                 raise PlanError(f"unknown set {name!r}")
-        for solver, m in self.solvers:
-            if solver not in SOLVERS:
-                raise PlanError(f"unknown solver {solver!r}")
-            if m < 0:
-                raise PlanError("memory M must be nonnegative")
         bad = set(self.overrides) - _CONFIG_DEFAULTS.keys()
         if bad:
             raise PlanError(f"unknown config overrides: {sorted(bad)}")
-        try:
-            SolverConfig(**self.overrides)
-        except ValueError as exc:
-            raise PlanError(f"invalid config overrides: {exc}") from exc
+        for solver, m in self.solvers:
+            if solver not in SOLVERS:
+                raise PlanError(f"unknown solver {solver!r}")
+            # the config each run of this solver builds in _run_one
+            try:
+                SolverConfig(**{**self.overrides, "M": m})
+            except ValueError as exc:
+                raise PlanError(f"invalid config for {solver}:{m}: {exc}") from exc
+
+
+def _convert(lineno: int, key: str, kind: type, text: str):
+    """text parsed as kind, or PlanError naming the line and the key."""
+    try:
+        return _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise PlanError(f"line {lineno}: {key}: {text!r} is not a valid {kind.__name__}") from None
 
 
 def parse_plan(text: str) -> BenchPlan:
     """Parse the key = value plan format.
 
     Recognized keys: problems, sets, solvers (comma-separated; solvers as
-    solver:M pairs), seed, and any SolverConfig field as an override.
-    Blank lines and lines starting with # are ignored.
+    solver:M pairs), seed, and any SolverConfig field as an override.  A
+    boolean override is true/false, 1/0, yes/no or on/off in any case.
+    # starts a comment, and blank lines are ignored.  A value that does
+    not parse raises PlanError naming its line and key.
     """
     problems: tuple[str, ...] = ()
     sets: tuple[str, ...] = ()
@@ -96,8 +111,8 @@ def parse_plan(text: str) -> BenchPlan:
     overrides: dict = {}
     seed = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise PlanError(f"line {lineno}: expected key = value")
@@ -115,16 +130,12 @@ def parse_plan(text: str) -> BenchPlan:
                 if not item:
                     continue
                 name, _, m = item.partition(":")
-                parsed.append((name.strip(), int(m) if m else 0))
+                parsed.append((name.strip(), _convert(lineno, key, int, m) if m else 0))
             solvers = tuple(parsed)
         elif key == "seed":
-            seed = int(value)
+            seed = _convert(lineno, key, int, value)
         elif key in _CONFIG_DEFAULTS:
-            kind = type(_CONFIG_DEFAULTS[key])
-            if kind is bool:
-                overrides[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                overrides[key] = kind(value)
+            overrides[key] = _convert(lineno, key, type(_CONFIG_DEFAULTS[key]), value)
         else:
             raise PlanError(f"line {lineno}: unknown key {key!r}")
     return BenchPlan(problems=problems, sets=sets, solvers=solvers, overrides=overrides, seed=seed)

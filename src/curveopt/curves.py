@@ -120,8 +120,10 @@ def feasibility_certificate(
     """Decide curve vs. straight-line fallback.
 
     Probes the active constraints at x + t_tilde * d (relaxed by eps) and
-    falls back iff the curve endpoint x + s violates any of them.  Only two
-    constraint evaluations are performed.
+    falls back iff the curve endpoint x + s violates any of them.  It makes
+    at most four `fset.g` calls: the contract re-checks of x and x + d, the
+    probe, and the endpoint, which is evaluated only when a constraint is
+    active at the probe.
     """
     if not 0.0 < t_tilde < 1.0:
         raise DomainError(f"t_tilde = {t_tilde} outside (0, 1)")

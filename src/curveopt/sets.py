@@ -1,4 +1,4 @@
-"""Convex feasible sets: constraint values, gradients and Euclidean projection.
+"""Convex feasible sets: constraint values and Euclidean projection.
 
 Four shipped configurations, addressable by short name:
 
@@ -42,38 +42,16 @@ class ConvexFeasibleSet:
     dim: int
     num_constraints: int
     eval_g: Callable[[Vector], Vector] = field(repr=False)
-    eval_g_grad: Callable[[Vector, int], Vector] = field(repr=False)
     project: Callable[[Vector], Vector] = field(repr=False)
 
     def g(self, x: Vector) -> Vector:
         return np.asarray(self.eval_g(np.asarray(x, dtype=float)), dtype=float)
-
-    def g_grad(self, x: Vector, i: int) -> Vector:
-        return np.asarray(self.eval_g_grad(np.asarray(x, dtype=float), i), dtype=float)
 
     def max_violation(self, x: Vector) -> float:
         return float(self.g(x).max())
 
     def contains(self, x: Vector, tol: float = FEAS_TOL) -> bool:
         return self.max_violation(x) <= tol
-
-
-@dataclass(frozen=True)
-class ActiveSetQuery:
-    """Indices of constraints within eps of being tight at a point."""
-
-    point: Vector
-    tolerance: float
-    result: frozenset[int]
-
-
-def active_set(fset: ConvexFeasibleSet, x: Vector, eps: float) -> ActiveSetQuery:
-    """Constraints with g_i(x) >= -eps."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    g = fset.g(x)
-    idx = frozenset(int(i) for i in np.flatnonzero(g >= -eps))
-    return ActiveSetQuery(point=np.array(x, dtype=float), tolerance=eps, result=idx)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +66,6 @@ def make_sphere(n: int, center: Vector | None = None, radius: float = 10.0) -> C
         d = x - c
         return np.array([float(d.dot(d)) - r2])
 
-    def g_grad(x, i):
-        return 2.0 * (x - c)
-
     def project(x):
         d = x - c
         nrm = math.sqrt(d.dot(d))
@@ -98,7 +73,7 @@ def make_sphere(n: int, center: Vector | None = None, radius: float = 10.0) -> C
             return np.array(x, dtype=float)
         return c + (radius / nrm) * d
 
-    return ConvexFeasibleSet("sph", n, 1, g, g_grad, project)
+    return ConvexFeasibleSet("sph", n, 1, g, project)
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +93,10 @@ def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
     def g(x):
         return np.concatenate([x - hi, lo - x])
 
-    def g_grad(x, i):
-        e = np.zeros(n)
-        if i < n:
-            e[i] = 1.0
-        else:
-            e[i - n] = -1.0
-        return e
-
     def project(x):
         return _clip(x, lo, hi)
 
-    return ConvexFeasibleSet("box", n, 2 * n, g, g_grad, project)
+    return ConvexFeasibleSet("box", n, 2 * n, g, project)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +128,6 @@ def make_ellipsoid(
     def g(x):
         d = x - c
         return np.array([float((d * d / p).sum()) - rhs])
-
-    def g_grad(x, i):
-        return 2.0 * (x - c) / p
 
     def project(z):
         z = np.asarray(z, dtype=float)
@@ -205,7 +169,7 @@ def make_ellipsoid(
             raise ProjectionError("ellipsoid projection: root finder did not converge")
         return c + pd / (p + 2.0 * lam)
 
-    return ConvexFeasibleSet("ell", n, 1, g, g_grad, project)
+    return ConvexFeasibleSet("ell", n, 1, g, project)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +187,6 @@ def make_composite(n: int) -> ConvexFeasibleSet:
         d = x - c
         head = np.array([float(d.dot(d)) - 100.0, float(np.dot(w, x)) - 5.0])
         return np.concatenate([head, x - hi, lo - x])
-
-    def g_grad(x, i):
-        if i == 0:
-            return 2.0 * (x - c)
-        if i == 1:
-            return np.array(w)
-        e = np.zeros(n)
-        if i < 2 + n:
-            e[i - 2] = 1.0
-        else:
-            e[i - 2 - n] = -1.0
-        return e
 
     r2 = radius * radius
     # KKT of min ||x - z||^2 over the set, with multiplier lam >= 0 for the
@@ -329,7 +281,7 @@ def make_composite(n: int) -> ConvexFeasibleSet:
             psi_lam = psi(d2)
         raise ProjectionError("composite projection: multiplier search did not converge")
 
-    return ConvexFeasibleSet("com", n, 2 * n + 2, g, g_grad, project)
+    return ConvexFeasibleSet("com", n, 2 * n + 2, g, project)
 
 
 # ---------------------------------------------------------------------------

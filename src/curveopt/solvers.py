@@ -13,6 +13,7 @@ baseline, backtracks along the straight line by quadratic interpolation.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,6 +53,12 @@ class SolverConfig:
     dynamic_beta: bool = True
 
     def __post_init__(self):
+        for name in ("M", "max_iters", "max_backtracks"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, int(operator.index(value)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if not 0.0 < self.sigma < 1.0:

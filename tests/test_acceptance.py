@@ -57,7 +57,6 @@ def test_c01_curve_certificate_reproduction(capsys):
         2,
         1,
         lambda v: np.array([v[0]]),
-        lambda v, i: np.array([1.0, 0.0]),
         lambda v: np.array([min(v[0], 0.0), v[1]]),
     )
 

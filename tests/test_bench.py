@@ -57,9 +57,9 @@ PLAN_TEXT = """\
 problems = rosenbrock2, beale2
 sets = sph, box
 
-solvers = scs:0, scs:10, spg:0, spg:10
+solvers = scs:0, scs:10, spg:0, spg:10   # solver:M pairs
 seed = 3
-max_iters = 150
+max_iters = 150  # any SolverConfig field is an override
 stat_tol = 1e-3
 adaptive_momentum = true
 """
@@ -106,6 +106,33 @@ def test_parse_plan_rejects_unknown_key():
 
 
 @pytest.mark.parametrize(
+    "word, value",
+    [(w, True) for w in ("true", "True", "1", "yes", "YES", "on")]
+    + [(w, False) for w in ("false", "FALSE", "0", "no", "No", "off")],
+)
+def test_parse_plan_boolean_spellings(word, value):
+    plan = parse_plan(f"adaptive_momentum = {word}")
+    assert plan.overrides == {"adaptive_momentum": value}
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("adaptive_momentum = ture", "adaptive_momentum"),
+        ("dynamic_beta = 2", "dynamic_beta"),
+        ("max_iters = ten", "max_iters"),
+        ("max_iters = 3.5", "max_iters"),
+        ("stat_tol = tiny", "stat_tol"),
+        ("solvers = scs:x", "solvers"),
+        ("seed = one", "seed"),
+    ],
+)
+def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
+    with pytest.raises(PlanError, match=rf"^line 3: {key}: "):
+        parse_plan(f"# plan\nproblems = beale2\n{line}\n")
+
+
+@pytest.mark.parametrize(
     "plan",
     [
         BenchPlan((), ("box",), (("scs", 0),)),
@@ -113,6 +140,8 @@ def test_parse_plan_rejects_unknown_key():
         BenchPlan(("beale2",), ("cone",), (("scs", 0),)),
         BenchPlan(("beale2",), ("box",), (("newton", 0),)),
         BenchPlan(("beale2",), ("box",), (("scs", -1),)),
+        BenchPlan(("beale2",), ("box",), (("scs", 2.5),)),
+        BenchPlan(("beale2",), ("box",), (("spg", 0), ("scs", 2.5))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"nope": 1}),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"t_tilde": 1.5}),
     ],

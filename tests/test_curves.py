@@ -10,7 +10,14 @@ from curveopt.curves import (
     reconstruct_from_hull,
 )
 from curveopt.errors import ContractError, DomainError
-from curveopt.sets import FEAS_TOL, SET_NAMES, ConvexFeasibleSet, active_set, make_set
+from curveopt.sets import (
+    FEAS_TOL,
+    SET_NAMES,
+    ConvexFeasibleSet,
+    make_box,
+    make_set,
+    make_sphere,
+)
 
 
 def halfspace_x1(n=2):
@@ -19,17 +26,12 @@ def halfspace_x1(n=2):
     def g(x):
         return np.array([x[0]])
 
-    def g_grad(x, i):
-        e = np.zeros(n)
-        e[0] = 1.0
-        return e
-
     def project(x):
         out = np.array(x, dtype=float)
         out[0] = min(out[0], 0.0)
         return out
 
-    return ConvexFeasibleSet("half", n, 1, g, g_grad, project)
+    return ConvexFeasibleSet("half", n, 1, g, project)
 
 
 def linear_set(normals, offsets):
@@ -40,10 +42,7 @@ def linear_set(normals, offsets):
     def g(x):
         return normals @ x - offsets
 
-    def g_grad(x, i):
-        return normals[i]
-
-    return ConvexFeasibleSet("lin", normals.shape[1], len(offsets), g, g_grad, lambda x: x)
+    return ConvexFeasibleSet("lin", normals.shape[1], len(offsets), g, lambda x: x)
 
 
 EX_CURVE = QuadraticCurve(
@@ -287,13 +286,40 @@ def test_certificate_accepts_then_grid_has_feasible_prefix():
 # certificate against its index-loop reference
 
 
+def active_set(fset, x, eps):
+    """Indices i with g_i(x) >= -eps: the constraints within eps of being tight."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    return frozenset(int(i) for i in np.flatnonzero(fset.g(x) >= -eps))
+
+
+def test_active_set_sphere_boundary():
+    s = make_sphere(2)
+    assert active_set(s, np.array([10.0, 0.0]), 0.0) == {0}
+
+
+def test_active_set_sphere_interior_empty():
+    s = make_sphere(2)
+    assert active_set(s, np.zeros(2), 0.1) == set()
+
+
+def test_active_set_relaxed_box():
+    b = make_box(2)
+    assert active_set(b, np.array([0.999, 0.0]), 0.01) == {0}
+
+
+def test_active_set_rejects_negative_eps():
+    with pytest.raises(ValueError):
+        active_set(make_box(2), np.zeros(2), -1.0)
+
+
 def certificate_by_index_loop(c, fset, t_tilde, eps, feas_tol=FEAS_TOL):
     """Reference decision: active_set at the probe, then a loop over its indices."""
     probe = active_set(fset, c.x + t_tilde * c.d, eps)
-    if not probe.result:
+    if not probe:
         return CurveDecision.CURVE_OK
     g_end = fset.g(c.p2)
-    for i in probe.result:
+    for i in probe:
         if g_end[i] > feas_tol:
             return CurveDecision.FALL_BACK
     return CurveDecision.CURVE_OK
@@ -331,15 +357,12 @@ def nan_flagged_halfspace():
             out[0] = np.nan
         return out
 
-    def g_grad(x, i):
-        return np.array([1.0, 0.0])
-
     def project(x):
         out = np.array(x, dtype=float)
         out[0] = min(out[0], 0.0)
         return out
 
-    return ConvexFeasibleSet("nanhalf", 2, 2, g, g_grad, project)
+    return ConvexFeasibleSet("nanhalf", 2, 2, g, project)
 
 
 @pytest.mark.parametrize(

@@ -52,17 +52,12 @@ def halfspace_x1(n=2):
     def g(x):
         return np.array([x[0]])
 
-    def g_grad(x, i):
-        e = np.zeros(n)
-        e[0] = 1.0
-        return e
-
     def project(x):
         out = np.array(x, dtype=float)
         out[0] = min(out[0], 0.0)
         return out
 
-    return ConvexFeasibleSet("half", n, 1, g, g_grad, project)
+    return ConvexFeasibleSet("half", n, 1, g, project)
 
 
 def spg_direction(p, fset, x, eta):
@@ -264,11 +259,30 @@ def test_config_validation():
         ("eta0", math.nan),
         ("stat_tol", -1e-3),
         ("stat_tol", math.nan),
+        ("M", 2.5),
+        ("M", "3"),
+        ("max_iters", 3.5),
+        ("max_backtracks", 2.5),
     ],
 )
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["M", "max_iters", "max_backtracks"])
+def test_config_stores_integer_fields_as_int(field):
+    cfg = SolverConfig(**{field: np.int64(3)})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_numpy_integer_memory_runs(solver):
+    p, fset = get_problem("rosenbrock2"), make_set("box", 2)
+    want = solve(solver, p, fset, SolverConfig(M=3))
+    got = solve(solver, p, fset, SolverConfig(M=np.int64(3)))
+    assert got.status == want.status == STATUS_STATIONARY
+    assert (got.iterations, got.f_star) == (want.iterations, want.f_star)
 
 
 def test_config_accepts_range_ends():
