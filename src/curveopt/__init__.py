@@ -18,14 +18,14 @@ from .sets import (
     make_sphere,
 )
 from .solvers import (
+    SOLVERS,
     RunRecord,
     SolverConfig,
     adaptive_momentum,
     build_secondary_direction,
     curve_search,
-    scs_solve,
+    solve,
     spectral_eta,
-    spg_solve,
     stationarity_measure,
 )
 
@@ -36,6 +36,7 @@ __all__ = [
     "HullCoefficients",
     "QuadraticCurve",
     "RunRecord",
+    "SOLVERS",
     "SmoothProblem",
     "SolverConfig",
     "adaptive_momentum",
@@ -51,9 +52,8 @@ __all__ = [
     "make_ellipsoid",
     "make_set",
     "make_sphere",
-    "scs_solve",
+    "solve",
     "spectral_eta",
-    "spg_solve",
     "stationarity_measure",
 ]
 

@@ -28,21 +28,23 @@ from .solvers import (
 )
 
 CSV_SCHEMA_COMMENT = "# curveopt-records v1"
-CSV_COLUMNS = (
-    "solver",
-    "M",
-    "problem",
-    "set",
-    "n",
-    "status",
-    "f_star",
-    "stationarity",
-    "iterations",
-    "fallbacks",
-    "adaptive_reductions",
-    "elapsed_s",
-    "max_g_final",
+#: the v1 records format: (CSV column, RunRecord field, type) per column
+_CSV_FIELDS = (
+    ("solver", "solver_name", str),
+    ("M", "M", int),
+    ("problem", "problem_name", str),
+    ("set", "set_name", str),
+    ("n", "dim", int),
+    ("status", "status", str),
+    ("f_star", "f_star", float),
+    ("stationarity", "stationarity", float),
+    ("iterations", "iterations", int),
+    ("fallbacks", "fallbacks", int),
+    ("adaptive_reductions", "adaptive_reductions", int),
+    ("elapsed_s", "elapsed", float),
+    ("max_g_final", "max_g_final", float),
 )
+CSV_COLUMNS = tuple(column for column, _, _ in _CSV_FIELDS)
 
 #: status of a run that raised; its record's detail holds the exception
 STATUS_ERROR = "error"
@@ -68,6 +70,15 @@ class BenchPlan:
     def validate(self) -> None:
         if not self.problems or not self.sets or not self.solvers:
             raise PlanError("plan needs at least one problem, set and solver")
+        # a repeated entry repeats runs that a profile then counts once
+        for kind, entries in (
+            ("problem", self.problems),
+            ("set", self.sets),
+            ("solver", self.solvers),
+        ):
+            repeated = sorted({e for e in entries if entries.count(e) > 1})
+            if repeated:
+                raise PlanError(f"repeated {kind} entries: {repeated}")
         known = set(problem_names())
         for name in self.problems:
             if name not in known:
@@ -226,48 +237,18 @@ def records_to_csv(records: list[RunRecord]) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in sorted(records, key=record_sort_key):
         writer.writerow(
-            [
-                r.solver_name,
-                r.M,
-                r.problem_name,
-                r.set_name,
-                r.dim,
-                r.status,
-                _fmt(r.f_star),
-                _fmt(r.stationarity),
-                r.iterations,
-                r.fallbacks,
-                r.adaptive_reductions,
-                _fmt(r.elapsed),
-                _fmt(r.max_g_final),
-            ]
+            _fmt(getattr(r, name)) if kind is float else getattr(r, name)
+            for _, name, kind in _CSV_FIELDS
         )
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    out = []
-    for row in reader:
-        out.append(
-            RunRecord(
-                solver_name=row["solver"],
-                problem_name=row["problem"],
-                set_name=row["set"],
-                status=row["status"],
-                f_star=float(row["f_star"]),
-                stationarity=float(row["stationarity"]),
-                iterations=int(row["iterations"]),
-                fallbacks=int(row["fallbacks"]),
-                adaptive_reductions=int(row["adaptive_reductions"]),
-                elapsed=float(row["elapsed_s"]),
-                M=int(row["M"]),
-                dim=int(row["n"]),
-                max_g_final=float(row["max_g_final"]),
-            )
-        )
-    return out
+    return [
+        RunRecord(**{name: kind(row[column]) for column, name, kind in _CSV_FIELDS})
+        for row in csv.DictReader(lines)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +292,7 @@ def performance_profile(
     ratios remain positive and well-defined.
     """
     tau_grid = tuple(float(t) for t in tau_grid)
-    if any(t < 1.0 for t in tau_grid):
+    if not all(t >= 1.0 for t in tau_grid):  # NaN fails too
         raise ValueError("tau grid entries must be >= 1")
     solvers = sorted({solver_id(r) for r in records})
     by_instance: dict[tuple[str, str], dict[str, RunRecord]] = {}

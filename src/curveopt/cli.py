@@ -32,7 +32,7 @@ def main():
 @main.command("run")
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=int, help="Override the plan's seed.")
 def run_cmd(plan_path, out_dir, jobs, seed):
     """Run a benchmark plan and write records.csv."""
@@ -61,8 +61,8 @@ def run_cmd(plan_path, out_dir, jobs, seed):
     show_default=True,
 )
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--tau-max", default=10.0, show_default=True)
-@click.option("--tau-points", default=200, show_default=True)
+@click.option("--tau-max", default=10.0, show_default=True, type=click.FloatRange(min=1.0))
+@click.option("--tau-points", default=200, show_default=True, type=click.IntRange(min=1))
 def profile_cmd(records_path, metric, out_path, tau_max, tau_points):
     """Compute performance-profile data from a records CSV."""
     records = records_from_csv(pathlib.Path(records_path).read_text())

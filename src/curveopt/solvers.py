@@ -1,13 +1,13 @@
 """SCS and SPG solvers for smooth convexly constrained problems.
 
-One driver runs the iteration both methods share; a step strategy moves it.
+`solve` runs the iteration both methods share; a step strategy moves it.
 SCS backtracks along a quadratic curve that blends a projected-gradient
 primary direction with a heavy-ball secondary direction; the curve must stay
 feasible and satisfy a (possibly non-monotone) Armijo condition, and when its
 endpoint violates a constraint nearly active along the primary direction the
 step falls back to a straight line.  SPG, the spectral projected gradient
 baseline, backtracks along the straight line by quadratic interpolation.
-`SOLVERS` maps each solver name to its entry point.
+`SOLVERS` maps each solver name to its step strategy.
 """
 
 from __future__ import annotations
@@ -277,11 +277,10 @@ class _CurveStep:
         self.fallbacks = 0
         self.adaptive_reductions = 0
 
-    def __call__(self, x, fx, grad, eta, z, pz, f_ref, rec):
+    def __call__(self, x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec):
         cfg = self.cfg
         first = self.x_prev is None
         x_prev = x if first else self.x_prev
-        d = pz - x
         moved = z - pz
         proj_required = math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
         s_candidate = build_secondary_direction(d, x, x_prev, cfg.alpha, self.beta, eta)
@@ -308,19 +307,15 @@ class _CurveStep:
                 self.adaptive_reductions += 1
 
         curve = QuadraticCurve(x, d, s)
-        grad_dot_d = float(np.dot(grad, d))
         res = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
 
         if rec is not None:
-            rec.t = res.t
             rec.fallback = fallback
             rec.adaptive = adaptive
             rec.beta_used = beta_k
             rec.eps = self.eps
-            rec.grad_dot_d = grad_dot_d
             rec.straight_line = curve.is_straight_line()
             if rec.x is not None:  # a vector trace
-                rec.d = d
                 rec.s = s
                 rec.s_candidate = s_candidate
 
@@ -328,7 +323,7 @@ class _CurveStep:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / cfg.delta)
         self.eps *= cfg.eps_decay
         self.x_prev = x
-        return res.x, res.f
+        return res.x, res.f, res.t
 
 
 class _LineStep:
@@ -337,26 +332,20 @@ class _LineStep:
     fallbacks = 0
     adaptive_reductions = 0
 
-    def __init__(self, p: SmoothProblem, cfg: SolverConfig):
+    def __init__(self, p: SmoothProblem, fset: ConvexFeasibleSet, cfg: SolverConfig):
         self.p = p
         self.cfg = cfg
 
-    def __call__(self, x, fx, grad, eta, z, pz, f_ref, rec):
+    def __call__(self, x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec):
         cfg = self.cfg
-        d = pz - x
-        grad_dot_d = float(np.dot(grad, d))
         lam = 1.0
         for _ in range(cfg.max_backtracks + 1):
             xt = x + lam * d
             ft = self.p.f(xt)
             if ft <= f_ref + cfg.sigma * lam * grad_dot_d:
                 if rec is not None:
-                    rec.t = lam
-                    rec.grad_dot_d = grad_dot_d
                     rec.straight_line = True
-                    if rec.x is not None:  # a vector trace
-                        rec.d = d
-                return xt, ft
+                return xt, ft, lam
             denom = 2.0 * (ft - fx - lam * grad_dot_d)
             lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
             tried, lam = lam, min(0.9 * lam, max(0.1 * lam, lam_new))
@@ -365,6 +354,11 @@ class _LineStep:
             last_trial=tried,
             failed_condition="sufficient_decrease",
         )
+
+
+#: solver name -> step class, built as `step(p, fset, cfg)`; the one list of
+#: solvers a plan may name
+SOLVERS = {"scs": _CurveStep, "spg": _LineStep}
 
 
 def _non_finite(f: float, grad: Vector, k: int) -> str:
@@ -376,25 +370,41 @@ def _non_finite(f: float, grad: Vector, k: int) -> str:
     return ""
 
 
-def _drive(
-    name: str,
-    step,
+def solve(
+    solver: str,
     p: SmoothProblem,
     fset: ConvexFeasibleSet,
-    cfg: SolverConfig,
-    record_trace: bool | str,
-    x0: Vector | None,
+    cfg: SolverConfig = SolverConfig(),
+    record_trace: bool | str = False,
+    x0: Vector | None = None,
 ) -> RunRecord:
-    """The iteration shared by SCS and SPG.
+    """Run the named solver from `x0`, or from the problem's projected start.
 
-    `step(x, fx, grad, eta, z, project(z), f_ref, rec)` returns the accepted
-    (x_next, f_next) or raises SearchFailureError, which ends the run.  A
-    non-finite f or gradient at the projected start or at an accepted step
-    ends it too, before anything is projected from that point.  `rec` is the
-    iteration's trace entry or None; a step attaches its arrays to it only
-    when `rec.x` is set, that is in a vector trace.
+    `record_trace` is False for no trace, True for one `IterationRecord` of
+    scalars per iteration, or "vectors" for entries that also hold the
+    iterate and the step's directions.  An unknown solver raises KeyError;
+    an unknown trace mode, a set whose dimension is not the problem's, or an
+    `x0` not of shape (p.dim,) raises ValueError, before any oracle call.
+
+    Each iteration forms z = x - eta*grad, d = project(z) - x and grad'd
+    once; the step `SOLVERS[solver](p, fset, cfg)`, called as
+    `step(x, fx, eta, z, project(z), d, grad_dot_d, f_ref, rec)`, returns the
+    accepted (x_next, f_next, t) or raises SearchFailureError, which ends
+    the run.  A non-finite f or gradient at the projected start or at an
+    accepted step ends it too, before anything is projected from that point.
+    `rec` is the iteration's trace entry or None; a step writes only its own
+    fields, and its arrays only when `rec.x` is set, that is in a vector trace.
     """
+    if solver not in SOLVERS:
+        raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")
     vectors = trace_keeps_vectors(record_trace)
+    if fset.dim != p.dim:
+        raise ValueError(
+            f"set {fset.name} has dimension {fset.dim} but problem {p.name} has {p.dim}"
+        )
+    if x0 is not None and np.shape(x0) != (p.dim,):
+        raise ValueError(f"x0 has shape {np.shape(x0)} but problem {p.name} needs ({p.dim},)")
+    step = SOLVERS[solver](p, fset, cfg)
     t0 = time.perf_counter()
     x = fset.project(np.array(p.start if x0 is None else x0, dtype=float))
     grad = p.grad(x)
@@ -429,9 +439,12 @@ def _drive(
             break
 
         z = x - eta * grad
+        pz = fset.project(z)
+        d = pz - x
+        grad_dot_d = float(np.dot(grad, d))
         f_ref = max(f_hist)
         try:
-            x_next, f_next = step(x, fx, grad, eta, z, fset.project(z), f_ref, rec)
+            x_next, f_next, t = step(x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec)
         except SearchFailureError as exc:
             status = STATUS_SEARCH_FAILURE
             detail = (
@@ -440,8 +453,12 @@ def _drive(
             )
             break
         if rec is not None:
+            rec.t = t
+            rec.grad_dot_d = grad_dot_d
             rec.eta = eta
             rec.f_ref = f_ref
+            if vectors:
+                rec.d = d
 
         grad_next = p.grad(x_next)
         detail = _non_finite(f_next, grad_next, k + 1)
@@ -456,7 +473,7 @@ def _drive(
         k += 1
 
     return RunRecord(
-        solver_name=name,
+        solver_name=solver,
         problem_name=p.name,
         set_name=fset.name,
         status=status,
@@ -473,49 +490,3 @@ def _drive(
         detail=detail,
         trace=trace,
     )
-
-
-def scs_solve(
-    p: SmoothProblem,
-    fset: ConvexFeasibleSet,
-    cfg: SolverConfig = SolverConfig(),
-    record_trace: bool | str = False,
-    x0: Vector | None = None,
-) -> RunRecord:
-    """Heavy-ball curve search with certificate-guarded momentum."""
-    return _drive("scs", _CurveStep(p, fset, cfg), p, fset, cfg, record_trace, x0)
-
-
-def spg_solve(
-    p: SmoothProblem,
-    fset: ConvexFeasibleSet,
-    cfg: SolverConfig = SolverConfig(),
-    record_trace: bool | str = False,
-    x0: Vector | None = None,
-) -> RunRecord:
-    """Spectral projected gradient with non-monotone interpolating line search."""
-    return _drive("spg", _LineStep(p, cfg), p, fset, cfg, record_trace, x0)
-
-
-#: solver name -> entry point; the one list of solvers a plan may name
-SOLVERS = {"scs": scs_solve, "spg": spg_solve}
-
-
-def solve(
-    solver: str,
-    p: SmoothProblem,
-    fset: ConvexFeasibleSet,
-    cfg: SolverConfig = SolverConfig(),
-    record_trace: bool | str = False,
-    x0: Vector | None = None,
-) -> RunRecord:
-    """Run the named solver from `x0`, or from the problem's start.
-
-    `record_trace` is False for no trace, True for one `IterationRecord` of
-    scalars per iteration, or "vectors" for entries that also hold the
-    iterate and the step's directions.  Any other value raises ValueError
-    before the run starts.
-    """
-    if solver not in SOLVERS:
-        raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")
-    return SOLVERS[solver](p, fset, cfg, record_trace, x0)

@@ -144,6 +144,9 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("beale2",), ("box",), (("spg", 0), ("scs", 2.5))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"nope": 1}),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"t_tilde": 1.5}),
+        BenchPlan(("rosenbrock2", "rosenbrock2"), ("box",), (("scs", 0),)),
+        BenchPlan(("rosenbrock2",), ("box", "sph", "box"), (("scs", 0),)),
+        BenchPlan(("rosenbrock2",), ("box",), (("scs", 0), ("scs", 10), ("scs", 0))),
     ],
 )
 def test_plan_validate_rejects(plan):
@@ -199,7 +202,7 @@ def test_run_plan_parallel_matches_serial(small_records):
 
 
 def test_run_plan_records_a_raising_run_and_finishes_the_rest(monkeypatch):
-    def boom(p, fset, cfg, record_trace, x0):
+    def boom(p, fset, cfg):
         raise RuntimeError(f"boom on {p.name}")
 
     monkeypatch.setitem(SOLVERS, "boom", boom)
@@ -340,6 +343,8 @@ def test_profile_input_validation():
         performance_profile([mk()], "speed", [1.0])
     with pytest.raises(ValueError):
         performance_profile([mk()], "time", [0.5])
+    with pytest.raises(ValueError):
+        performance_profile([mk()], "time", [1.0, float("nan")])
 
 
 def test_profile_csv_layout():
@@ -413,6 +418,31 @@ def test_cli_end_to_end(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--jobs", "-3"],
+        ["run", "--jobs", "0"],
+        ["profile", "--tau-points", "0"],
+        ["profile", "--tau-max", "0.5"],
+    ],
+)
+def test_cli_rejects_out_of_range_options(tmp_path, args):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("problems = beale2\nsets = box\nsolvers = spg:0\n")
+    records_csv = tmp_path / "records.csv"
+    records_csv.write_text(records_to_csv(run_plan(parse_plan(plan_file.read_text()))))
+    out = tmp_path / "out"
+    inputs = {
+        "run": ["--plan", str(plan_file), "--out", str(out)],
+        "profile": ["--records", str(records_csv), "--out", str(out)],
+    }
+    res = CliRunner().invoke(cli_main, args + inputs[args[0]])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value" in res.output
+    assert not out.exists()
+
+
 def test_cli_seed_override(tmp_path):
     runner = CliRunner()
     plan_file = tmp_path / "plan.txt"
@@ -441,7 +471,7 @@ def test_cli_seed_override(tmp_path):
 
 
 def test_cli_run_reports_errored_runs(tmp_path, monkeypatch):
-    def boom(p, fset, cfg, record_trace, x0):
+    def boom(p, fset, cfg):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(SOLVERS, "boom", boom)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from curveopt import solvers
 from curveopt.bench import BenchPlan, run_plan
 from curveopt.curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from curveopt.errors import SearchFailureError
@@ -20,10 +21,8 @@ from curveopt.solvers import (
     adaptive_momentum,
     build_secondary_direction,
     curve_search,
-    scs_solve,
     solve,
     spectral_eta,
-    spg_solve,
     stationarity_measure,
 )
 
@@ -299,6 +298,37 @@ def test_solver_dispatch():
         solve("newton", p, b)
 
 
+def counting_problem(n, calls):
+    """sum_of_squares(n) that logs each oracle call in `calls`."""
+    p = sum_of_squares(n)
+
+    def f(x):
+        calls.append("f")
+        return p.f(x)
+
+    def grad(x):
+        calls.append("grad")
+        return p.grad(x)
+
+    return SmoothProblem(p.name, n, f, grad, p.start)
+
+
+@pytest.mark.parametrize("set_name", ["sph", "ell", "box", "com"])
+def test_set_of_another_dimension_is_rejected_before_a_run(set_name):
+    calls = []
+    with pytest.raises(ValueError, match=r"dimension 3 but problem ss2 has 2$"):
+        solve("scs", counting_problem(2, calls), make_set(set_name, 3))
+    assert calls == []
+
+
+@pytest.mark.parametrize("x0", [5.0, np.zeros(3), np.zeros((2, 1)), [[1.0, 1.0]]])
+def test_start_of_another_shape_is_rejected_before_a_run(x0):
+    calls = []
+    with pytest.raises(ValueError, match=r"x0 has shape .* but problem ss2 needs \(2,\)$"):
+        solve("spg", counting_problem(2, calls), make_box(2), x0=x0)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "solver, problem, fset, iterations, f_star, detail",
     [
@@ -403,7 +433,7 @@ def test_spg_quadratic_interpolation_step():
     # interpolated step 0.25 lands exactly on the minimizer
     p = steep1()
     b = make_box(1, lo=-10.0, hi=10.0)
-    rec = spg_solve(p, b, SolverConfig(stat_tol=1e-9), record_trace=True)
+    rec = solve("spg", p, b, SolverConfig(stat_tol=1e-9), record_trace=True)
     assert rec.status == STATUS_STATIONARY
     assert rec.trace[0].t == pytest.approx(0.25)
     assert rec.f_star == 0.0
@@ -418,21 +448,21 @@ def test_spg_accepts_unit_step_when_possible():
         lambda x: 0.5 * np.asarray(x, dtype=float),
         np.ones(2),
     )
-    rec = spg_solve(p, make_set("sph", 2), record_trace=True)
+    rec = solve("spg", p, make_set("sph", 2), record_trace=True)
     assert rec.status == STATUS_STATIONARY
     assert rec.trace[0].t == 1.0
 
 
 def test_spg_monotone_when_memoryless():
     p = get_problem("rosenbrock2")
-    rec = spg_solve(p, make_box(2, lo=-2.0, hi=2.0), SolverConfig(M=0), record_trace=True)
+    rec = solve("spg", p, make_box(2, lo=-2.0, hi=2.0), SolverConfig(M=0), record_trace=True)
     fs = [r.f for r in rec.trace]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
 
 
-def test_spg_solves_constrained_quadratic():
+def test_spg_reaches_constrained_quadratic_minimum():
     p = get_problem("quad_shift50")
-    rec = spg_solve(p, make_box(50))
+    rec = solve("spg", p, make_box(50))
     assert rec.status == STATUS_STATIONARY
     assert rec.max_g_final <= FEAS_TOL
     assert rec.f_star == pytest.approx(1275.0, rel=1e-6)
@@ -444,7 +474,7 @@ def test_spg_solves_constrained_quadratic():
 
 def test_scs_first_iteration_is_straight_line():
     p = get_problem("rosenbrock2")
-    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), record_trace="vectors")
+    rec = solve("scs", p, make_box(2, lo=-2.0, hi=2.0), record_trace="vectors")
     first = rec.trace[0]
     assert first.fallback
     assert first.straight_line
@@ -453,7 +483,7 @@ def test_scs_first_iteration_is_straight_line():
 
 def test_scs_fallback_counter_matches_trace():
     p = get_problem("rosenbrock2")
-    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), record_trace=True)
+    rec = solve("scs", p, make_box(2, lo=-2.0, hi=2.0), record_trace=True)
     assert rec.fallbacks == sum(1 for r in rec.trace if r.fallback)
     assert rec.fallbacks >= 1  # the first iteration always counts
 
@@ -468,7 +498,7 @@ def test_scs_engineered_fallback_after_first_iteration():
         lambda x: np.array([-1.0, -1.0]),
         np.array([-1.0, 0.0]),
     )
-    rec = scs_solve(p, halfspace_x1(), SolverConfig(max_iters=3), record_trace="vectors")
+    rec = solve("scs", p, halfspace_x1(), SolverConfig(max_iters=3), record_trace="vectors")
     assert rec.trace[1].fallback
     assert np.array_equal(rec.trace[1].s, rec.trace[1].d)
     # the rejected momentum endpoint really was infeasible
@@ -478,7 +508,7 @@ def test_scs_engineered_fallback_after_first_iteration():
 
 def test_scs_monotone_when_memoryless():
     p = get_problem("rosenbrock2")
-    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), SolverConfig(M=0), record_trace=True)
+    rec = solve("scs", p, make_box(2, lo=-2.0, hi=2.0), SolverConfig(M=0), record_trace=True)
     fs = [r.f for r in rec.trace]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
 
@@ -486,7 +516,7 @@ def test_scs_monotone_when_memoryless():
 def test_scs_nonmonotone_reference_uses_memory():
     p = get_problem("rosenbrock2")
     M = 5
-    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), SolverConfig(M=M), record_trace=True)
+    rec = solve("scs", p, make_box(2, lo=-2.0, hi=2.0), SolverConfig(M=M), record_trace=True)
     fs = [r.f for r in rec.trace]
     for k, r in enumerate(rec.trace):
         if r.f_ref is None:
@@ -498,7 +528,7 @@ def test_scs_nonmonotone_reference_uses_memory():
 def test_scs_momentum_capped_by_beta0():
     p = get_problem("rosenbrock2")
     cfg = SolverConfig(beta0=0.5, max_iters=20)
-    rec = scs_solve(p, make_box(2, lo=-2.0, hi=2.0), cfg, record_trace=True)
+    rec = solve("scs", p, make_box(2, lo=-2.0, hi=2.0), cfg, record_trace=True)
     used = [r.beta_used for r in rec.trace if r.beta_used is not None]
     assert len(used) > 1
     assert max(used) <= 0.5
@@ -507,15 +537,15 @@ def test_scs_momentum_capped_by_beta0():
 def test_scs_eta_stays_in_bounds():
     p = get_problem("chnrosnb4")
     cfg = SolverConfig()
-    rec = scs_solve(p, make_set("com", 4), cfg, record_trace=True)
+    rec = solve("scs", p, make_set("com", 4), cfg, record_trace=True)
     for r in rec.trace:
         if r.eta is not None:
             assert cfg.eta_min <= r.eta <= cfg.eta_max
 
 
-def test_scs_solves_constrained_quadratic():
+def test_scs_reaches_constrained_quadratic_minimum():
     p = get_problem("quad_shift50")
-    rec = scs_solve(p, make_box(50))
+    rec = solve("scs", p, make_box(50))
     assert rec.status == STATUS_STATIONARY
     assert rec.max_g_final <= FEAS_TOL
     assert rec.f_star == pytest.approx(1275.0, rel=1e-6)
@@ -523,7 +553,7 @@ def test_scs_solves_constrained_quadratic():
 
 def test_scs_x0_override():
     p = get_problem("quad_diag50")
-    rec = scs_solve(p, make_set("sph", 50), x0=np.zeros(50))
+    rec = solve("scs", p, make_set("sph", 50), x0=np.zeros(50))
     assert rec.status == STATUS_STATIONARY
     assert rec.iterations == 0
     assert rec.f_star == 0.0
@@ -531,7 +561,7 @@ def test_scs_x0_override():
 
 def test_scs_infeasible_start_is_projected():
     p = sum_of_squares(2)
-    rec = scs_solve(p, make_box(2), x0=np.array([50.0, 50.0]), record_trace="vectors")
+    rec = solve("scs", p, make_box(2), x0=np.array([50.0, 50.0]), record_trace="vectors")
     assert np.allclose(rec.trace[0].x, [1.0, 1.0])
     assert rec.status == STATUS_STATIONARY
 
@@ -540,7 +570,7 @@ def test_scs_infeasible_start_is_projected():
 def test_scs_iterates_feasible_everywhere(set_name):
     p = get_problem("chnrosnb4")
     fset = make_set(set_name, 4, ell_seed=3)
-    rec = scs_solve(p, fset, record_trace=True)
+    rec = solve("scs", p, fset, record_trace=True)
     for r in rec.trace:
         assert r.max_g <= FEAS_TOL
     assert rec.max_g_final <= FEAS_TOL
@@ -551,7 +581,7 @@ def test_scs_iterates_feasible_everywhere(set_name):
 
 
 def replay_run(p, fset, cfg):
-    rec = scs_solve(p, fset, cfg, record_trace="vectors")
+    rec = solve("scs", p, fset, cfg, record_trace="vectors")
     steps = [r for r in rec.trace if r.t is not None]
     assert steps, "expected at least one completed iteration"
     for i, r in enumerate(steps):
@@ -603,7 +633,7 @@ def test_trace_shares_step_arrays():
     # chnrosnb4 on the box takes fallback, adaptive-momentum and plain
     # momentum steps
     fset = make_set("box", 4)
-    rec = scs_solve(get_problem("chnrosnb4"), fset, record_trace="vectors")
+    rec = solve("scs", get_problem("chnrosnb4"), fset, record_trace="vectors")
     steps = [r for r in rec.trace if r.t is not None]
     plain = [r for r in steps if not r.fallback and not r.adaptive]
     fallbacks = [r for r in steps if r.fallback]
@@ -748,23 +778,14 @@ def test_scalar_trace_holds_no_arrays(solver):
 @pytest.mark.parametrize("mode", ("scalars", 2))
 def test_unknown_trace_mode_is_rejected_before_a_run(mode, monkeypatch):
     calls = []
-
-    def f(x):
-        calls.append("f")
-        return float(np.dot(x, x))
-
-    def grad(x):
-        calls.append("grad")
-        return 2.0 * x
-
-    p = SmoothProblem("counted2", 2, f, grad, np.ones(2))
+    p = counting_problem(2, calls)
     with pytest.raises(ValueError, match="record_trace"):
         solve("scs", p, make_box(2), record_trace=mode)
     assert calls == []
 
-    def counted(p, fset, cfg, record_trace, x0):
+    def counted(p, fset, cfg):
         calls.append(p.name)
-        return scs_solve(p, fset, cfg, record_trace, x0)
+        return SOLVERS["scs"](p, fset, cfg)
 
     monkeypatch.setitem(SOLVERS, "counted", counted)
     plan = BenchPlan(problems=("rosenbrock2",), sets=("box",), solvers=(("counted", 0),))
@@ -788,3 +809,23 @@ def test_scalar_trace_holds_a_tenth_of_a_vector_trace():
         assert rec.iterations == 100
         del rec
     assert held[True] < held["vectors"] / 10
+
+
+def test_scs_reaches_every_building_block_through_the_module(monkeypatch):
+    # the benchmark's spans replace these module attributes; a loop that
+    # bound one of them directly would leave its span count at 0
+    names = ("feasibility_certificate", "stationarity_measure", "curve_search", "adaptive_momentum")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+    rec = solve("scs", get_problem("chnrosnb4"), make_set("box", 4))
+    assert rec.iterations > 1
+    assert all(calls[name] > 0 for name in names), calls
