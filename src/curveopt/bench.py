@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .errors import EmptyProfileError, PlanError
-from .problems import get_problem, problem_names
+from .problems import get_problem, list_problems
 from .sets import SET_NAMES, make_set
 from .solvers import (
     SOLVERS,
@@ -79,7 +79,7 @@ class BenchPlan:
             repeated = sorted({e for e in entries if entries.count(e) > 1})
             if repeated:
                 raise PlanError(f"repeated {kind} entries: {repeated}")
-        known = set(problem_names())
+        known = {p.name for p in list_problems()}
         for name in self.problems:
             if name not in known:
                 raise PlanError(f"unknown problem {name!r}")
@@ -89,6 +89,8 @@ class BenchPlan:
         bad = set(self.overrides) - _CONFIG_DEFAULTS.keys()
         if bad:
             raise PlanError(f"unknown config overrides: {sorted(bad)}")
+        if "M" in self.overrides:
+            raise PlanError("M is set per solver as name:M, not as an override")
         for solver, m in self.solvers:
             if solver not in SOLVERS:
                 raise PlanError(f"unknown solver {solver!r}")
@@ -111,7 +113,7 @@ def parse_plan(text: str) -> BenchPlan:
     """Parse the key = value plan format.
 
     Recognized keys: problems, sets, solvers (comma-separated; solvers as
-    solver:M pairs), seed, and any SolverConfig field as an override.  A
+    solver:M pairs), seed, and any SolverConfig field but M as an override.  A
     boolean override is true/false, 1/0, yes/no or on/off in any case.
     # starts a comment, and blank lines are ignored.  A value that does
     not parse raises PlanError naming its line and key.
@@ -145,6 +147,8 @@ def parse_plan(text: str) -> BenchPlan:
             solvers = tuple(parsed)
         elif key == "seed":
             seed = _convert(lineno, key, int, value)
+        elif key == "M":
+            raise PlanError(f"line {lineno}: M: set M per solver as name:M in solvers")
         elif key in _CONFIG_DEFAULTS:
             overrides[key] = _convert(lineno, key, type(_CONFIG_DEFAULTS[key]), value)
         else:
@@ -289,7 +293,8 @@ def performance_profile(
 
     For the fstar metric the per-instance values are shifted by
     (1 - min + 1e-12) whenever the instance minimum is nonpositive, so
-    ratios remain positive and well-defined.
+    ratios remain positive and well-defined.  Two records of one solver
+    and M on one instance raise ValueError.
     """
     tau_grid = tuple(float(t) for t in tau_grid)
     if not all(t >= 1.0 for t in tau_grid):  # NaN fails too
@@ -297,7 +302,9 @@ def performance_profile(
     solvers = sorted({solver_id(r) for r in records})
     by_instance: dict[tuple[str, str], dict[str, RunRecord]] = {}
     for r in records:
-        by_instance.setdefault(instance_id(r), {})[solver_id(r)] = r
+        runs = by_instance.setdefault(instance_id(r), {})
+        if runs.setdefault(solver_id(r), r) is not r:
+            raise ValueError(f"repeated record for {(*instance_id(r), solver_id(r))}")
 
     included = sorted(
         iid for iid, runs in by_instance.items() if any(is_success(r) for r in runs.values())

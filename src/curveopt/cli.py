@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import pathlib
 
 import click
@@ -65,6 +66,8 @@ def run_cmd(plan_path, out_dir, jobs, seed):
 @click.option("--tau-points", default=200, show_default=True, type=click.IntRange(min=1))
 def profile_cmd(records_path, metric, out_path, tau_max, tau_points):
     """Compute performance-profile data from a records CSV."""
+    if not math.isfinite(tau_max):  # FloatRange lets nan and inf through
+        raise click.BadParameter(f"{tau_max} is not finite", param_hint="'--tau-max'")
     records = records_from_csv(pathlib.Path(records_path).read_text())
     step = (tau_max - 1.0) / max(1, tau_points - 1)
     grid = [1.0 + i * step for i in range(tau_points)]

@@ -115,7 +115,6 @@ def feasibility_certificate(
     fset: ConvexFeasibleSet,
     t_tilde: float,
     eps: float,
-    feas_tol: float = FEAS_TOL,
 ) -> CurveDecision:
     """Decide curve vs. straight-line fallback.
 
@@ -129,14 +128,14 @@ def feasibility_certificate(
         raise DomainError(f"t_tilde = {t_tilde} outside (0, 1)")
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
-    if not fset.contains(c.x, feas_tol):
+    if not fset.max_violation(c.x) <= FEAS_TOL:  # NaN fails too
         raise ContractError("base point x is infeasible")
-    if not fset.contains(c.x + c.d, feas_tol):
+    if not fset.max_violation(c.x + c.d) <= FEAS_TOL:
         raise ContractError("x + d is infeasible; d must be a feasible direction")
 
     active = fset.g(c.x + t_tilde * c.d) >= -eps
     if not active.any():
         return CurveDecision.CURVE_OK
-    if (fset.g(c.p2)[active] > feas_tol).any():
+    if (fset.g(c.p2)[active] > FEAS_TOL).any():
         return CurveDecision.FALL_BACK
     return CurveDecision.CURVE_OK

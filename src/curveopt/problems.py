@@ -115,7 +115,7 @@ def _diag_quadratic(n, center=None, scale=1.0):
     def grad(x):
         return 2.0 * w * (x - c)
 
-    return f, grad, w, c
+    return f, grad
 
 
 def _extended_powell(n):
@@ -238,13 +238,13 @@ def _build_suite() -> list[SmoothProblem]:
     # n = 500 instance is scaled by 1/n to keep objective magnitudes
     # compatible with finite-difference validation
     for n, scale in ((50, 1.0), (500, 1.0 / 500.0)):
-        f, g, _, _ = _diag_quadratic(n, scale=scale)
+        f, g = _diag_quadratic(n, scale=scale)
         out.append(SmoothProblem(f"quad_diag{n}", n, f, g, np.ones(n)))
 
     # shifted diagonal quadratic: center alternates +/-2, so box-constrained
     # minima lie on the boundary with a per-coordinate closed form
     center = _tile([2.0, -2.0], 50)
-    f, g, _, _ = _diag_quadratic(50, center)
+    f, g = _diag_quadratic(50, center)
     out.append(SmoothProblem("quad_shift50", 50, f, g, np.zeros(50)))
 
     f, g = _extended_powell(20)
@@ -280,10 +280,6 @@ def get_problem(name: str) -> SmoothProblem:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(_REGISTRY)}") from None
-
-
-def problem_names() -> list[str]:
-    return [p.name for p in _SUITE]
 
 
 def check_gradient(p: SmoothProblem, x: Vector, h: float) -> float:

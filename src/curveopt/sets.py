@@ -40,7 +40,6 @@ class ConvexFeasibleSet:
 
     name: str
     dim: int
-    num_constraints: int
     eval_g: Callable[[Vector], Vector] = field(repr=False)
     project: Callable[[Vector], Vector] = field(repr=False)
 
@@ -50,16 +49,14 @@ class ConvexFeasibleSet:
     def max_violation(self, x: Vector) -> float:
         return float(self.g(x).max())
 
-    def contains(self, x: Vector, tol: float = FEAS_TOL) -> bool:
-        return self.max_violation(x) <= tol
-
 
 # ---------------------------------------------------------------------------
 # sphere
 
 
-def make_sphere(n: int, center: Vector | None = None, radius: float = 10.0) -> ConvexFeasibleSet:
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+def make_sphere(n: int) -> ConvexFeasibleSet:
+    c = np.zeros(n)
+    radius = 10.0
     r2 = radius * radius
 
     def g(x):
@@ -73,7 +70,7 @@ def make_sphere(n: int, center: Vector | None = None, radius: float = 10.0) -> C
             return np.array(x, dtype=float)
         return c + (radius / nrm) * d
 
-    return ConvexFeasibleSet("sph", n, 1, g, project)
+    return ConvexFeasibleSet("sph", n, g, project)
 
 
 # ---------------------------------------------------------------------------
@@ -96,27 +93,22 @@ def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
     def project(x):
         return _clip(x, lo, hi)
 
-    return ConvexFeasibleSet("box", n, 2 * n, g, project)
+    return ConvexFeasibleSet("box", n, g, project)
 
 
 # ---------------------------------------------------------------------------
 # ellipsoid
 
 
-def make_ellipsoid(
-    n: int,
-    center: Vector | None = None,
-    p_diag: Vector | None = None,
-    seed: int = 0,
-    rhs: float = 25.0,
-) -> ConvexFeasibleSet:
-    """{x : sum_i (x_i - c_i)^2 / p_i <= rhs}, with c = ones by default.
+def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> ConvexFeasibleSet:
+    """{x : sum_i (x_i - c_i)^2 / p_i <= rhs}, with c = ones and rhs = 25.
 
     When p_diag is omitted, the diagonal entries are drawn uniformly from
     [0.5, 2.0] using the given seed, so the same (n, seed) pair always
     yields the same set.
     """
-    c = np.ones(n) if center is None else np.asarray(center, dtype=float)
+    c = np.ones(n)
+    rhs = 25.0
     if p_diag is None:
         rng = np.random.default_rng(seed)
         p = rng.uniform(0.5, 2.0, size=n)
@@ -169,7 +161,7 @@ def make_ellipsoid(
             raise ProjectionError("ellipsoid projection: root finder did not converge")
         return c + pd / (p + 2.0 * lam)
 
-    return ConvexFeasibleSet("ell", n, 1, g, project)
+    return ConvexFeasibleSet("ell", n, g, project)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +273,7 @@ def make_composite(n: int) -> ConvexFeasibleSet:
             psi_lam = psi(d2)
         raise ProjectionError("composite projection: multiplier search did not converge")
 
-    return ConvexFeasibleSet("com", n, 2 * n + 2, g, project)
+    return ConvexFeasibleSet("com", n, g, project)
 
 
 # ---------------------------------------------------------------------------

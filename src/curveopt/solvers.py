@@ -162,13 +162,6 @@ class RunRecord:
     trace: list[IterationRecord] | None = field(default=None, repr=False)
 
 
-@dataclass
-class SearchResult:
-    t: float
-    x: Vector
-    f: float
-
-
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -230,15 +223,15 @@ def curve_search(
     f_ref: float,
     grad_dot_d: float,
     cfg: SolverConfig,
-) -> SearchResult:
-    """Backtrack over t = delta^h until gamma(t) is feasible and passes Armijo."""
+) -> tuple[Vector, float, float]:
+    """Backtrack over t = delta^h to a feasible gamma(t) passing Armijo; return (gamma(t), f, t)."""
     t = 1.0
     for h in range(cfg.max_backtracks + 1):
         pt = c.eval(t)
         if fset.max_violation(pt) <= FEAS_TOL:
             fv = p.f(pt)
             if fv <= f_ref + cfg.sigma * t * grad_dot_d:
-                return SearchResult(t=t, x=pt, f=fv)
+                return pt, fv, t
             failed = "sufficient_decrease"
         else:
             failed = "feasibility"
@@ -250,12 +243,8 @@ def curve_search(
     )
 
 
-def stationarity_measure(
-    p: SmoothProblem, fset: ConvexFeasibleSet, x: Vector, grad: Vector | None = None
-) -> float:
-    """Infinity norm of project(x - grad f(x)) - x; zero iff x is stationary."""
-    if grad is None:
-        grad = p.grad(x)
+def stationarity_measure(fset: ConvexFeasibleSet, x: Vector, grad: Vector) -> float:
+    """Infinity norm of project(x - grad) - x; zero iff x is stationary."""
     step = fset.project(x - grad) - x
     return float(np.abs(step).max()) if step.size else 0.0
 
@@ -307,7 +296,7 @@ class _CurveStep:
                 self.adaptive_reductions += 1
 
         curve = QuadraticCurve(x, d, s)
-        res = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
+        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
 
         if rec is not None:
             rec.fallback = fallback
@@ -323,7 +312,7 @@ class _CurveStep:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / cfg.delta)
         self.eps *= cfg.eps_decay
         self.x_prev = x
-        return res.x, res.f, res.t
+        return x_next, f_next, t
 
 
 class _LineStep:
@@ -417,7 +406,7 @@ def solve(
     detail = _non_finite(fx, grad, 0)
     status = STATUS_NON_FINITE if detail else None
     while status is None:
-        stat = stationarity_measure(p, fset, x, grad)
+        stat = stationarity_measure(fset, x, grad)
         rec = None
         if trace is not None:
             rec = IterationRecord(

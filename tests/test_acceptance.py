@@ -55,7 +55,6 @@ def test_c01_curve_certificate_reproduction(capsys):
     fset = ConvexFeasibleSet(
         "half",
         2,
-        1,
         lambda v: np.array([v[0]]),
         lambda v: np.array([min(v[0], 0.0), v[1]]),
     )

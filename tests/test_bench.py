@@ -88,7 +88,10 @@ def test_parse_plan_defaults_m_to_zero():
     assert plan.solvers == (("spg", 0),)
 
 
-@pytest.mark.parametrize("field", fields(SolverConfig), ids=lambda f: f.name)
+# M is set per solver, as name:M
+@pytest.mark.parametrize(
+    "field", [f for f in fields(SolverConfig) if f.name != "M"], ids=lambda f: f.name
+)
 def test_parse_plan_override_takes_default_type(field):
     plan = parse_plan(f"{field.name} = {field.default}")
     assert plan.overrides == {field.name: field.default}
@@ -125,6 +128,7 @@ def test_parse_plan_boolean_spellings(word, value):
         ("stat_tol = tiny", "stat_tol"),
         ("solvers = scs:x", "solvers"),
         ("seed = one", "seed"),
+        ("M = 5", "M"),
     ],
 )
 def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
@@ -147,6 +151,7 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("rosenbrock2", "rosenbrock2"), ("box",), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box", "sph", "box"), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box",), (("scs", 0), ("scs", 10), ("scs", 0))),
+        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"M": 5}),
     ],
 )
 def test_plan_validate_rejects(plan):
@@ -347,6 +352,12 @@ def test_profile_input_validation():
         performance_profile([mk()], "time", [1.0, float("nan")])
 
 
+def test_profile_rejects_repeated_records():
+    recs = dolan_more_fixture() + [mk(solver="scs", problem="p1", iterations=1000)]
+    with pytest.raises(ValueError, match=r"repeated record for \('p1', 'box', 'scs-M0'\)"):
+        performance_profile(recs, "iters", [1.0])
+
+
 def test_profile_csv_layout():
     table = performance_profile(dolan_more_fixture(), "time", [1.0, 2.0])
     lines = table.to_csv().splitlines()
@@ -425,6 +436,8 @@ def test_cli_end_to_end(tmp_path):
         ["run", "--jobs", "0"],
         ["profile", "--tau-points", "0"],
         ["profile", "--tau-max", "0.5"],
+        ["profile", "--tau-max", "nan"],
+        ["profile", "--tau-max", "inf"],
     ],
 )
 def test_cli_rejects_out_of_range_options(tmp_path, args):

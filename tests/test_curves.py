@@ -31,7 +31,7 @@ def halfspace_x1(n=2):
         out[0] = min(out[0], 0.0)
         return out
 
-    return ConvexFeasibleSet("half", n, 1, g, project)
+    return ConvexFeasibleSet("half", n, g, project)
 
 
 def linear_set(normals, offsets):
@@ -42,7 +42,7 @@ def linear_set(normals, offsets):
     def g(x):
         return normals @ x - offsets
 
-    return ConvexFeasibleSet("lin", normals.shape[1], len(offsets), g, lambda x: x)
+    return ConvexFeasibleSet("lin", normals.shape[1], g, lambda x: x)
 
 
 EX_CURVE = QuadraticCurve(
@@ -362,7 +362,7 @@ def nan_flagged_halfspace():
         out[0] = min(out[0], 0.0)
         return out
 
-    return ConvexFeasibleSet("nanhalf", 2, 2, g, project)
+    return ConvexFeasibleSet("nanhalf", 2, g, project)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from curveopt.problems import (
     check_gradient,
     get_problem,
     list_problems,
-    problem_names,
 )
 
 
@@ -17,7 +16,7 @@ def test_suite_size_and_span():
     dims = sorted(p.dim for p in probs)
     assert dims[0] == 2
     assert dims[-1] == 1000
-    names = set(problem_names())
+    names = {p.name for p in list_problems()}
     # required families
     assert "rosenbrock2" in names
     assert {"chnrosnb4", "chnrosnb100"} <= names

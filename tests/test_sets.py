@@ -143,9 +143,9 @@ def test_composite_projection_variational_inequality():
 
 def test_composite_constraint_layout():
     c = make_composite(2)
-    assert c.num_constraints == 6
     x = np.array([0.0, 0.0])
     g = c.g(x)
+    assert g.shape == (6,)
     assert g[0] == pytest.approx(32.0 - 100.0)
     assert g[1] == pytest.approx(-5.0)
     assert np.allclose(g[2:4], [-10.0, -10.0])

@@ -1,0 +1,22 @@
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "trajectory_digest.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("trajectory_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_of_one_problem_is_complete_and_repeatable():
+    # the bit-identity gate runs on the library's current API: the desk
+    # plan of one problem is 4 sets x 4 (solver, M) pairs
+    tool = load_tool()
+    hexdigest, runs, entries, lacking = tool.digest(("rosenbrock2",))
+    assert runs == 16
+    assert entries > 0
+    assert lacking == 0
+    assert tool.digest(("rosenbrock2",))[0] == hexdigest

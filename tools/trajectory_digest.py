@@ -80,14 +80,14 @@ def _lacks_vectors(solver: str, rec) -> bool:
     return any(getattr(rec, name) is None for name in names)
 
 
-def digest() -> tuple[str, int, int, int]:
+def digest(problems=DESK_PROBLEMS) -> tuple[str, int, int, int]:
     """(hex digest, runs, trace entries, entries lacking arrays); one problem's plan at a time."""
     missing = set(TRACE_FIELDS) - {f.name for f in dataclasses.fields(IterationRecord)}
     if missing:
         sys.exit(f"error: IterationRecord lacks the fields {sorted(missing)}")
     h = hashlib.sha256()
     runs = entries = lacking = 0
-    for problem in sorted(DESK_PROBLEMS):
+    for problem in sorted(problems):
         plan = Workload((problem,), SET_NAMES).plan(SEED)
         records = bench.run_plan(plan, record_trace="vectors")
         h.update(_v1_records(records))
