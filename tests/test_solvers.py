@@ -729,19 +729,33 @@ SCALAR_FIELDS = tuple(
 )
 
 
-def test_traced_and_untraced_runs_agree():
+@pytest.fixture(scope="module")
+def golden_runs():
+    """Each GOLDEN run solved once per trace mode: (untraced, scalars, vectors)."""
     cfgs = {m: SolverConfig(M=m, max_iters=400) for m in (0, 10)}
+    runs = {}
     for key in GOLDEN:
         problem, set_name, solver, m = key
         p = get_problem(problem)
         # the ellipsoid a plan with seed 0 builds
         fset = make_set(set_name, p.dim, ell_seed=p.dim)
-        plain, scalars, vectors = (
+        runs[key] = tuple(
             solve(solver, p, fset, cfgs[m], record_trace=mode)
             for mode in (False, True, "vectors")
         )
-        got = (plain.status, plain.iterations, plain.fallbacks, plain.adaptive_reductions)
-        assert got == GOLDEN[key], key
+    return runs
+
+
+def test_golden_trajectories(golden_runs):
+    got = {
+        key: (rec.status, rec.iterations, rec.fallbacks, rec.adaptive_reductions)
+        for key, (rec, _, _) in golden_runs.items()
+    }
+    assert got == GOLDEN
+
+
+def test_traced_and_untraced_runs_agree(golden_runs):
+    for plain, scalars, vectors in golden_runs.values():
         for traced in (scalars, vectors):
             assert traced.status == plain.status
             assert traced.iterations == plain.iterations
