@@ -70,6 +70,8 @@ class BenchPlan:
     def validate(self) -> None:
         if not self.problems or not self.sets or not self.solvers:
             raise PlanError("plan needs at least one problem, set and solver")
+        if self.seed < 0:
+            raise PlanError(f"seed must be nonnegative, not {self.seed}")
         # a repeated entry repeats runs that a profile then counts once
         for kind, entries in (
             ("problem", self.problems),
@@ -116,13 +118,14 @@ def parse_plan(text: str) -> BenchPlan:
     solver:M pairs), seed, and any SolverConfig field but M as an override.  A
     boolean override is true/false, 1/0, yes/no or on/off in any case.
     # starts a comment, and blank lines are ignored.  A value that does
-    not parse raises PlanError naming its line and key.
+    not parse, or a key given twice, raises PlanError naming its line and key.
     """
     problems: tuple[str, ...] = ()
     sets: tuple[str, ...] = ()
     solvers: tuple[tuple[str, int], ...] = ()
     overrides: dict = {}
     seed = 0
+    first_line: dict[str, int] = {}  # key -> line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -132,6 +135,9 @@ def parse_plan(text: str) -> BenchPlan:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in first_line:
+            raise PlanError(f"line {lineno}: {key}: repeated; first set on line {first_line[key]}")
+        first_line[key] = lineno
         if key == "problems":
             problems = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "sets":
@@ -159,11 +165,11 @@ def parse_plan(text: str) -> BenchPlan:
 def _run_one(args):
     problem_name, set_name, solver, m, overrides, seed, record_trace = args
     p = get_problem(problem_name)
-    # one seeded ellipsoid per (seed, dimension)
-    fset = make_set(set_name, p.dim, ell_seed=seed + p.dim)
     cfg = SolverConfig(**{**overrides, "M": m})
     t0 = time.perf_counter()
     try:
+        # one seeded ellipsoid per (seed, dimension)
+        fset = make_set(set_name, p.dim, ell_seed=seed + p.dim)
         return solve(solver, p, fset, cfg, record_trace=record_trace)
     except Exception as exc:  # one failed run must not abort the plan
         return RunRecord(
@@ -248,10 +254,15 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
+    """Records of a v1 CSV; ValueError names the columns it lacks."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    reader = csv.DictReader(lines)
+    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"records CSV lacks columns {missing}")
     return [
         RunRecord(**{name: kind(row[column]) for column, name, kind in _CSV_FIELDS})
-        for row in csv.DictReader(lines)
+        for row in reader
     ]
 
 

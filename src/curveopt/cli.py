@@ -7,6 +7,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import pathlib
@@ -23,6 +24,18 @@ from .bench import (
     records_to_csv,
     run_plan,
 )
+from .errors import EmptyProfileError, PlanError
+
+
+@contextlib.contextmanager
+def _records_errors():
+    """Report a records file the library rejects as a usage error on --records."""
+    try:
+        yield
+    except EmptyProfileError as exc:  # a ValueError, but the file is well formed
+        raise click.ClickException(str(exc)) from exc
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--records'") from exc
 
 
 @click.group()
@@ -34,13 +47,18 @@ def main():
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=None, type=int, help="Override the plan's seed.")
+@click.option(
+    "--seed", default=None, type=click.IntRange(min=0), help="Override the plan's seed."
+)
 def run_cmd(plan_path, out_dir, jobs, seed):
     """Run a benchmark plan and write records.csv."""
-    plan = parse_plan(pathlib.Path(plan_path).read_text())
-    if seed is not None:
-        plan = dataclasses.replace(plan, seed=seed)
-    records = run_plan(plan, jobs=jobs)
+    try:
+        plan = parse_plan(pathlib.Path(plan_path).read_text())
+        if seed is not None:
+            plan = dataclasses.replace(plan, seed=seed)
+        records = run_plan(plan, jobs=jobs)  # validates the plan before any run
+    except PlanError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--plan'") from exc
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "records.csv"
@@ -68,10 +86,11 @@ def profile_cmd(records_path, metric, out_path, tau_max, tau_points):
     """Compute performance-profile data from a records CSV."""
     if not math.isfinite(tau_max):  # FloatRange lets nan and inf through
         raise click.BadParameter(f"{tau_max} is not finite", param_hint="'--tau-max'")
-    records = records_from_csv(pathlib.Path(records_path).read_text())
     step = (tau_max - 1.0) / max(1, tau_points - 1)
     grid = [1.0 + i * step for i in range(tau_points)]
-    table = performance_profile(records, metric, grid)
+    with _records_errors():
+        records = records_from_csv(pathlib.Path(records_path).read_text())
+        table = performance_profile(records, metric, grid)
     pathlib.Path(out_path).write_text(table.to_csv())
     click.echo(
         f"profile over {len(table.included_instances)} instances, "
@@ -84,7 +103,8 @@ def profile_cmd(records_path, metric, out_path, tau_max, tau_points):
 @click.option("--tol", default=1e-5, show_default=True)
 def boundary_cmd(records_path, tol):
     """List instances whose best solution lies on the feasible boundary."""
-    records = records_from_csv(pathlib.Path(records_path).read_text())
+    with _records_errors():
+        records = records_from_csv(pathlib.Path(records_path).read_text())
     for problem, fset in boundary_subset(records, tol=tol):
         click.echo(f"{problem},{fset}")
 

@@ -31,18 +31,28 @@ Vector = np.ndarray
 #: actually needed to form the primary direction
 _PROJ_ACTIVE_TOL = 1e-12
 
+#: backtracking factor of both searches and of the momentum reduction
+DELTA = 0.5
+#: Armijo sufficient-decrease coefficient
+SIGMA = 1e-7
+#: blend of the primary direction in the momentum step
+ALPHA = 0.999
+#: probe location for the active-set certificate
+T_TILDE = 0.5
+#: initial active-set relaxation, multiplied by EPS_DECAY every SCS step
+EPS0 = 0.1
+EPS_DECAY = 0.95
+#: spectral steplength of the first iteration
+ETA0 = 1.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    delta: float = 0.5          # backtracking factor
-    sigma: float = 1e-7         # Armijo sufficient-decrease coefficient
-    alpha: float = 0.999        # blend of the primary direction in the momentum step
+    """The settings a caller may vary; every other constant of the method is
+    a module constant: DELTA, SIGMA, ALPHA, T_TILDE, EPS0, EPS_DECAY, ETA0."""
+
     beta0: float = 0.9          # initial momentum weight
-    t_tilde: float = 0.5        # probe location for the active-set certificate
-    eps0: float = 0.1           # initial active-set relaxation
-    eps_decay: float = 0.95
     M: int = 0                  # non-monotone memory (0 = monotone)
-    eta0: float = 1.0
     eta_min: float = 1e-3
     eta_max: float = 1e3
     stat_tol: float = 1e-3
@@ -59,28 +69,16 @@ class SolverConfig:
                 object.__setattr__(self, name, int(operator.index(value)))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, not {value!r}") from None
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must be in (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
         if not 0.0 < self.eta_min < self.eta_max:
             raise ValueError("need 0 < eta_min < eta_max")
-        if not self.eta_min <= self.eta0 <= self.eta_max:
-            raise ValueError("eta0 must be in [eta_min, eta_max]")
+        if not self.eta_min <= ETA0 <= self.eta_max:
+            raise ValueError(f"eta_min and eta_max must bracket the first step {ETA0}")
         if not 0.0 <= self.beta0 < 1.0:
             raise ValueError("beta0 must be in [0, 1)")
-        if not self.eps0 >= 0.0:
-            raise ValueError("eps0 must be nonnegative")
         if not self.stat_tol >= 0.0:
             raise ValueError("stat_tol must be nonnegative")
         if not self.M >= 0:
             raise ValueError("M must be nonnegative")
-        if not 0.0 < self.t_tilde < 1.0:
-            raise ValueError("t_tilde must be in (0, 1)")
-        if not 0.0 < self.eps_decay <= 1.0:
-            raise ValueError("eps_decay must be in (0, 1]")
         if not self.max_iters >= 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.time_limit > 0.0:
@@ -230,15 +228,15 @@ def curve_search(
         pt = c.eval(t)
         if fset.max_violation(pt) <= FEAS_TOL:
             fv = p.f(pt)
-            if fv <= f_ref + cfg.sigma * t * grad_dot_d:
+            if fv <= f_ref + SIGMA * t * grad_dot_d:
                 return pt, fv, t
             failed = "sufficient_decrease"
         else:
             failed = "feasibility"
-        t *= cfg.delta
+        t *= DELTA
     raise SearchFailureError(
         f"curve search exhausted {cfg.max_backtracks} backtracks",
-        last_trial=t / cfg.delta,
+        last_trial=t / DELTA,
         failed_condition=failed,
     )
 
@@ -262,7 +260,7 @@ class _CurveStep:
         self.cfg = cfg
         self.x_prev: Vector | None = None  # None until the first step is taken
         self.beta = cfg.beta0
-        self.eps = cfg.eps0
+        self.eps = EPS0
         self.fallbacks = 0
         self.adaptive_reductions = 0
 
@@ -272,7 +270,7 @@ class _CurveStep:
         x_prev = x if first else self.x_prev
         moved = z - pz
         proj_required = math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
-        s_candidate = build_secondary_direction(d, x, x_prev, cfg.alpha, self.beta, eta)
+        s_candidate = build_secondary_direction(d, x, x_prev, ALPHA, self.beta, eta)
         s = s_candidate
 
         # the first step has no momentum and always runs along the straight line
@@ -281,7 +279,7 @@ class _CurveStep:
         beta_k = self.beta
         if not fallback:
             decision = feasibility_certificate(
-                QuadraticCurve(x, d, s), self.fset, cfg.t_tilde, self.eps
+                QuadraticCurve(x, d, s), self.fset, T_TILDE, self.eps
             )
             fallback = decision is CurveDecision.FALL_BACK
         if fallback:
@@ -289,7 +287,7 @@ class _CurveStep:
             self.fallbacks += 1
         elif cfg.adaptive_momentum and proj_required:
             s, beta_k = adaptive_momentum(
-                d, x, x_prev, self.fset, cfg.alpha, self.beta, eta, cfg.delta, cfg.max_backtracks
+                d, x, x_prev, self.fset, ALPHA, self.beta, eta, DELTA, cfg.max_backtracks
             )
             adaptive = True
             if beta_k < self.beta:
@@ -309,8 +307,8 @@ class _CurveStep:
                 rec.s_candidate = s_candidate
 
         if cfg.dynamic_beta:
-            self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / cfg.delta)
-        self.eps *= cfg.eps_decay
+            self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / DELTA)
+        self.eps *= EPS_DECAY
         self.x_prev = x
         return x_next, f_next, t
 
@@ -331,7 +329,7 @@ class _LineStep:
         for _ in range(cfg.max_backtracks + 1):
             xt = x + lam * d
             ft = self.p.f(xt)
-            if ft <= f_ref + cfg.sigma * lam * grad_dot_d:
+            if ft <= f_ref + SIGMA * lam * grad_dot_d:
                 if rec is not None:
                     rec.straight_line = True
                 return xt, ft, lam
@@ -398,7 +396,7 @@ def solve(
     x = fset.project(np.array(p.start if x0 is None else x0, dtype=float))
     grad = p.grad(x)
     fx = p.f(x)
-    eta = cfg.eta0
+    eta = ETA0
     f_hist: deque[float] = deque([fx], maxlen=cfg.M + 1)
     trace: list[IterationRecord] | None = [] if record_trace else None
     k = 0

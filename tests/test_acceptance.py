@@ -20,6 +20,7 @@ from curveopt.curves import (
 from curveopt.problems import check_gradient, get_problem, list_problems
 from curveopt.sets import ConvexFeasibleSet, make_box, make_set, make_sphere
 from curveopt.solvers import (
+    SIGMA,
     STATUS_SEARCH_FAILURE,
     STATUS_STATIONARY,
     SolverConfig,
@@ -138,7 +139,6 @@ def test_c04_sweep_iterate_feasibility(capsys, sweep):
 
 
 def test_c05_memoryless_runs_descend(capsys, sweep):
-    sigma = SolverConfig().sigma
     ok = True
     for r in sweep:
         if r.M != 0:
@@ -147,13 +147,12 @@ def test_c05_memoryless_runs_descend(capsys, sweep):
             if rec.t is None:
                 continue
             f_next = r.trace[rec.k + 1].f
-            ok = ok and f_next <= rec.f + sigma * rec.t * rec.grad_dot_d + 1e-12
+            ok = ok and f_next <= rec.f + SIGMA * rec.t * rec.grad_dot_d + 1e-12
             ok = ok and f_next < rec.f
     report(capsys, 5, "memoryless-runs-descend", ok)
 
 
 def test_c06_nonmonotone_reference_bound(capsys, sweep):
-    sigma = SolverConfig().sigma
     ok = True
     for r in sweep:
         if r.M != 10:
@@ -163,7 +162,7 @@ def test_c06_nonmonotone_reference_bound(capsys, sweep):
             if rec.t is None:
                 continue
             ref = max(fs[max(0, rec.k - 10) : rec.k + 1])
-            ok = ok and fs[rec.k + 1] <= ref + sigma * rec.t * rec.grad_dot_d + 1e-12
+            ok = ok and fs[rec.k + 1] <= ref + SIGMA * rec.t * rec.grad_dot_d + 1e-12
     report(capsys, 6, "nonmonotone-reference-bound", ok)
 
 

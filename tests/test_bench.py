@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from curveopt import bench
 from curveopt.bench import (
     CSV_COLUMNS,
     CSV_SCHEMA_COMMENT,
@@ -106,6 +107,9 @@ def test_parse_plan_rejects_bad_line():
 def test_parse_plan_rejects_unknown_key():
     with pytest.raises(PlanError):
         parse_plan("colour = blue")
+    # a constant of the method, not a SolverConfig field
+    with pytest.raises(PlanError, match="unknown key 'sigma'"):
+        parse_plan("sigma = 1e-4")
 
 
 @pytest.mark.parametrize(
@@ -129,6 +133,7 @@ def test_parse_plan_boolean_spellings(word, value):
         ("solvers = scs:x", "solvers"),
         ("seed = one", "seed"),
         ("M = 5", "M"),
+        ("problems = wood4", "problems"),
     ],
 )
 def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
@@ -147,11 +152,12 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("beale2",), ("box",), (("scs", 2.5),)),
         BenchPlan(("beale2",), ("box",), (("spg", 0), ("scs", 2.5))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"nope": 1}),
-        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"t_tilde": 1.5}),
+        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"beta0": 1.5}),
         BenchPlan(("rosenbrock2", "rosenbrock2"), ("box",), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box", "sph", "box"), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box",), (("scs", 0), ("scs", 10), ("scs", 0))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"M": 5}),
+        BenchPlan(("beale2",), ("box", "ell"), (("scs", 0),), seed=-10),
     ],
 )
 def test_plan_validate_rejects(plan):
@@ -236,6 +242,28 @@ def test_run_plan_records_a_raising_run_and_finishes_the_rest(monkeypatch):
     back = records_from_csv(records_to_csv(records))
     assert [r.status for r in back] == [r.status for r in records]
     assert all(r.detail == "" for r in back)
+
+
+def test_run_plan_records_a_failed_set_build_and_finishes_the_rest(monkeypatch):
+    make_set = bench.make_set
+
+    def fragile_make_set(name, n, **kwargs):
+        if name == "ell":
+            raise ValueError("expected non-negative integer")
+        return make_set(name, n, **kwargs)
+
+    monkeypatch.setattr(bench, "make_set", fragile_make_set)
+    plan = BenchPlan(("beale2",), ("box", "ell"), (("scs", 0), ("spg", 0)))
+    records = run_plan(plan, jobs=1)
+    assert [(r.set_name, r.solver_name) for r in records] == [
+        ("box", "scs"), ("box", "spg"), ("ell", "scs"), ("ell", "spg"),
+    ]
+    for r in records:
+        if r.set_name == "ell":
+            assert r.status == STATUS_ERROR
+            assert r.detail == "ValueError: expected non-negative integer"
+        else:
+            assert r.status == "stationary"
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +466,7 @@ def test_cli_end_to_end(tmp_path):
         ["profile", "--tau-max", "0.5"],
         ["profile", "--tau-max", "nan"],
         ["profile", "--tau-max", "inf"],
+        ["run", "--seed", "-1"],
     ],
 )
 def test_cli_rejects_out_of_range_options(tmp_path, args):
@@ -497,3 +526,40 @@ def test_cli_run_reports_errored_runs(tmp_path, monkeypatch):
     assert res.stderr == "boom:0 beale2/box: RuntimeError: boom\n"
     statuses = {r.solver_name: r.status for r in records_from_csv((out_dir / "records.csv").read_text())}
     assert statuses == {"boom": STATUS_ERROR, "spg": "stationary"}
+
+
+def test_cli_run_rejects_an_invalid_plan(tmp_path):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("problems = beale2\nsets = box\nsolvers = spg:0\nM = 5\n")
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli_main, ["run", "--plan", str(plan_file), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--plan': line 4: M: " in res.output
+    assert not out.exists()
+
+
+def records_cli(tmp_path, command, records):
+    """Run `bench <command>` on a records file holding `records`."""
+    path = tmp_path / "records.csv"
+    path.write_text(records if isinstance(records, str) else records_to_csv(records))
+    extra = ["--out", str(tmp_path / "profile.csv")] if command == "profile" else []
+    return CliRunner().invoke(cli_main, [command, "--records", str(path)] + extra)
+
+
+def test_cli_profile_rejects_repeated_records(tmp_path):
+    res = records_cli(tmp_path, "profile", [mk(), mk(iterations=20)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--records': repeated record for " in res.output
+
+
+def test_cli_boundary_rejects_records_without_a_column(tmp_path):
+    text = "\n".join(line.replace(",problem,", ",") for line in records_to_csv([mk()]).splitlines())
+    res = records_cli(tmp_path, "boundary", text)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--records': records CSV lacks columns ['problem']" in res.output
+
+
+def test_cli_profile_reports_no_solved_instance_in_one_line(tmp_path):
+    res = records_cli(tmp_path, "profile", [mk(status="iter_limit")])
+    assert res.exit_code == 1
+    assert res.output == "Error: no instance was solved by any solver\n"

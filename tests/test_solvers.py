@@ -12,10 +12,14 @@ from curveopt.errors import SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
 from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
+    DELTA,
+    ETA0,
+    SIGMA,
     STATUS_NON_FINITE,
     STATUS_SEARCH_FAILURE,
     STATUS_STATIONARY,
     SOLVERS,
+    T_TILDE,
     IterationRecord,
     SolverConfig,
     adaptive_momentum,
@@ -225,49 +229,35 @@ def test_stationarity_measure_examples():
 # configuration
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(delta=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(eta_min=1.0, eta_max=0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(M=-1)
-
-
 @pytest.mark.parametrize(
-    "field, value",
+    "kwargs",
     [
-        ("t_tilde", 1.5),
-        ("eps_decay", 2.0),
-        ("max_iters", -3),
-        ("time_limit", -1.0),
-        ("max_backtracks", -1),
-        ("max_iters", math.nan),
-        ("max_backtracks", math.nan),
-        ("M", math.nan),
-        ("eps0", -0.1),
-        ("eps0", math.nan),
-        ("beta0", -0.5),
-        ("beta0", 1.0),
-        ("beta0", math.nan),
-        ("eta0", 1e-4),
-        ("eta0", 1e4),
-        ("eta0", math.nan),
-        ("stat_tol", -1e-3),
-        ("stat_tol", math.nan),
-        ("M", 2.5),
-        ("M", "3"),
-        ("max_iters", 3.5),
-        ("max_backtracks", 2.5),
+        {"eta_min": 1.0, "eta_max": 0.5},
+        # a window that leaves out the first step eta = 1
+        {"eta_min": 2.0, "eta_max": 3.0},
+        {"M": -1},
+        {"max_iters": -3},
+        {"time_limit": -1.0},
+        {"max_backtracks": -1},
+        {"max_iters": math.nan},
+        {"max_backtracks": math.nan},
+        {"M": math.nan},
+        {"beta0": -0.5},
+        {"beta0": 1.0},
+        {"beta0": math.nan},
+        {"stat_tol": -1e-3},
+        {"stat_tol": math.nan},
+        {"M": 2.5},
+        {"M": "3"},
+        {"max_iters": 3.5},
+        {"max_backtracks": 2.5},
     ],
+    ids=lambda kwargs: "-".join(f"{k}-{v}" for k, v in kwargs.items()),
 )
-def test_config_rejects_out_of_range(field, value):
-    with pytest.raises(ValueError, match=field):
-        SolverConfig(**{field: value})
+def test_config_rejects_out_of_range(kwargs):
+    # the message names every field of the case
+    with pytest.raises(ValueError, match=".*".join(kwargs)):
+        SolverConfig(**kwargs)
 
 
 @pytest.mark.parametrize("field", ["M", "max_iters", "max_backtracks"])
@@ -286,9 +276,11 @@ def test_numpy_integer_memory_runs(solver):
 
 
 def test_config_accepts_range_ends():
-    SolverConfig(eps_decay=1.0, max_iters=0, beta0=0.0, eps0=0.0, stat_tol=0.0)
-    SolverConfig(eta0=SolverConfig.eta_min)
-    SolverConfig(eta0=SolverConfig.eta_max)
+    SolverConfig(max_iters=0, beta0=0.0, stat_tol=0.0)
+    # the step-size window may end at the first step, or pin it
+    SolverConfig(eta_min=ETA0)
+    SolverConfig(eta_max=ETA0)
+    SolverConfig(eta_min=0.999, eta_max=1.001)
 
 
 def test_solver_dispatch():
@@ -592,7 +584,7 @@ def replay_run(p, fset, cfg):
         # certificate decision reproduces from the stored momentum candidate
         if r.k > 0:
             decision = feasibility_certificate(
-                QuadraticCurve(r.x, r.d, r.s_candidate), fset, cfg.t_tilde, r.eps
+                QuadraticCurve(r.x, r.d, r.s_candidate), fset, T_TILDE, r.eps
             )
             expect = CurveDecision.FALL_BACK if r.fallback else CurveDecision.CURVE_OK
             assert decision is expect
@@ -602,14 +594,14 @@ def replay_run(p, fset, cfg):
         # accepted point is feasible and passes the recorded Armijo test
         xt = c.eval(r.t)
         assert fset.max_violation(xt) <= FEAS_TOL
-        assert p.f(xt) <= r.f_ref + cfg.sigma * r.t * r.grad_dot_d + 1e-12
+        assert p.f(xt) <= r.f_ref + SIGMA * r.t * r.grad_dot_d + 1e-12
         # maximality: the next larger trial on the delta grid was rejected
         if r.t < 1.0:
-            t_up = r.t / cfg.delta
+            t_up = r.t / DELTA
             x_up = c.eval(t_up)
             rejected = (
                 fset.max_violation(x_up) > FEAS_TOL
-                or p.f(x_up) > r.f_ref + cfg.sigma * t_up * r.grad_dot_d
+                or p.f(x_up) > r.f_ref + SIGMA * t_up * r.grad_dot_d
             )
             assert rejected
         # the next stored iterate is exactly the accepted point
