@@ -254,16 +254,25 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
-    """Records of a v1 CSV; ValueError names the columns it lacks."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.DictReader(lines)
+    """Records of a v1 CSV; ValueError names the columns it lacks, or the
+    line of a row with fewer or more fields than the header."""
+    numbered = [
+        (i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")
+    ]
+    reader = csv.DictReader(ln for _, ln in numbered)
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"records CSV lacks columns {missing}")
-    return [
-        RunRecord(**{name: kind(row[column]) for column, name, kind in _CSV_FIELDS})
-        for row in reader
-    ]
+    records = []
+    for row in reader:
+        if None in row or None in row.values():  # DictReader's marks of a long or short row
+            line = numbered[reader.line_num - 1][0]
+            width = len(reader.fieldnames)
+            raise ValueError(f"records CSV line {line} does not have the header's {width} fields")
+        records.append(
+            RunRecord(**{name: kind(row[column]) for column, name, kind in _CSV_FIELDS})
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,17 @@ Four shipped configurations, addressable by short name:
 Every projection is exact: sph/box are closed form; ell uses 1-D root
 finding on the KKT multiplier; com nests two 1-D multiplier searches, one
 for the ball and one for the halfspace, with the box handled by clipping.
+
+ell's seeded diagonal is drawn by an in-repo PCG64 (`_uniform`) that
+reproduces numpy's `default_rng(seed).uniform` stream bit for bit, so an
+`ell` instance does not depend on the installed numpy version and building
+one does not import numpy's random module (and hashlib with it).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -100,20 +106,95 @@ def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
 # ellipsoid
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform(seed: int, lo: float, hi: float, n: int) -> list[float]:
+    """numpy's `default_rng(seed).uniform(lo, hi, size=n)` for seed >= 0, bit for bit.
+
+    SeedSequence(seed) mixes the seed's 32-bit words into a 4-word pool and
+    expands it to 4 uint64 words; PCG64 seeds its 128-bit state and stream
+    from them; each draw steps the LCG, takes the XSL-RR output x and returns
+    lo + (hi - lo) * (x >> 11) * 2**-53.
+    """
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+
+    mult_a = 0x43B0D7E5  # SeedSequence's hashmix constant, advanced per call
+
+    def hashmix(value):
+        nonlocal mult_a
+        value ^= mult_a
+        mult_a = (mult_a * 0x931E8875) & _MASK32
+        value = (value * mult_a) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    mult_b = 0x8B51F9DD
+    state32 = []
+    for i in range(8):
+        value = pool[i % 4] ^ mult_b
+        mult_b = (mult_b * 0x58F38DED) & _MASK32
+        value = (value * mult_b) & _MASK32
+        state32.append(value ^ (value >> 16))
+    w = [state32[2 * i] | state32[2 * i + 1] << 32 for i in range(4)]
+
+    # pcg_setseq_128_srandom_r: state 0, step, add the initial state, step
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _MASK128
+    out = []
+    for _ in range(n):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        out.append(lo + (hi - lo) * ((x >> 11) * (1.0 / 9007199254740992.0)))
+    return out
+
+
 def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> ConvexFeasibleSet:
     """{x : sum_i (x_i - c_i)^2 / p_i <= rhs}, with c = ones and rhs = 25.
 
     When p_diag is omitted, the diagonal entries are drawn uniformly from
     [0.5, 2.0] using the given seed, so the same (n, seed) pair always
-    yields the same set.
+    yields the same set.  The draw is the in-repo PCG64 of `_uniform`, which
+    reproduces numpy's `default_rng(seed).uniform(0.5, 2.0, size=n)` stream.
+    A p_diag not of shape (n,) or with a non-finite or nonpositive entry, and
+    a seed that is negative or not an integer, raise ValueError.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, not {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     c = np.ones(n)
     rhs = 25.0
     if p_diag is None:
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(0.5, 2.0, size=n)
+        p = np.array(_uniform(seed, 0.5, 2.0, n))
     else:
         p = np.asarray(p_diag, dtype=float)
+    if p.shape != (n,):
+        raise ValueError(f"p_diag has shape {p.shape} but the set needs ({n},)")
+    if not np.isfinite(p).all():
+        raise ValueError("p_diag entries must be finite")
     if np.any(p <= 0):
         raise ValueError("p_diag entries must be positive")
 

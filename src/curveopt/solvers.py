@@ -3,10 +3,12 @@
 `solve` runs the iteration both methods share; a step strategy moves it.
 SCS backtracks along a quadratic curve that blends a projected-gradient
 primary direction with a heavy-ball secondary direction; the curve must stay
-feasible and satisfy a (possibly non-monotone) Armijo condition, and when its
-endpoint violates a constraint nearly active along the primary direction the
-step falls back to a straight line.  SPG, the spectral projected gradient
-baseline, backtracks along the straight line by quadratic interpolation.
+feasible and satisfy a (possibly non-monotone) Armijo condition.  When its
+endpoint violates a constraint nearly active along the primary direction, or
+no momentum weight of the reduction keeps the endpoint feasible, the step
+falls back to the straight line, which is always feasible.  SPG, the
+spectral projected gradient baseline, backtracks along the straight line by
+quadratic interpolation.
 `SOLVERS` maps each solver name to its step strategy.
 """
 
@@ -196,8 +198,10 @@ def adaptive_momentum(
     """Geometrically shrink the momentum weight until the endpoint is feasible.
 
     Returns (s, beta_k) with beta_k the largest delta^h * beta making
-    x + alpha*d + beta_k*eta*(x - x_prev) feasible.  Failure to terminate
-    within max_backtracks signals a projection or feasibility bug upstream.
+    x + alpha*d + beta_k*eta*(x - x_prev) feasible, or raises
+    SearchFailureError when no h <= max_backtracks does; with eta near a wide
+    window's eta_max the momentum term can outlast every halving.  The SCS
+    step then falls back to the straight line.
     """
     base = x + alpha * d
     momentum = eta * (x - x_prev)
@@ -282,16 +286,22 @@ class _CurveStep:
                 QuadraticCurve(x, d, s), self.fset, T_TILDE, self.eps
             )
             fallback = decision is CurveDecision.FALL_BACK
+        if not fallback and cfg.adaptive_momentum and proj_required:
+            try:
+                s, beta_k = adaptive_momentum(
+                    d, x, x_prev, self.fset, ALPHA, self.beta, eta, DELTA, cfg.max_backtracks
+                )
+            except SearchFailureError:
+                # no weight on the budget's grid makes the momentum endpoint
+                # feasible; x + d is, so the straight line always remains
+                fallback = True
+            else:
+                adaptive = True
+                if beta_k < self.beta:
+                    self.adaptive_reductions += 1
         if fallback:
             s = d
             self.fallbacks += 1
-        elif cfg.adaptive_momentum and proj_required:
-            s, beta_k = adaptive_momentum(
-                d, x, x_prev, self.fset, ALPHA, self.beta, eta, DELTA, cfg.max_backtracks
-            )
-            adaptive = True
-            if beta_k < self.beta:
-                self.adaptive_reductions += 1
 
         curve = QuadraticCurve(x, d, s)
         x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)

@@ -291,6 +291,21 @@ def test_csv_deterministic(small_records):
     assert records_to_csv(list(reversed(small_records))) == records_to_csv(small_records)
 
 
+def cut_last_row(text, edit):
+    """`text` with `edit` applied to the last line's fields."""
+    *head, last = text.splitlines()
+    return "\n".join(head + [",".join(edit(last.split(",")))]) + "\n"
+
+
+@pytest.mark.parametrize("edit", (lambda f: f[:-1], lambda f: f + ["0.0"]), ids=("short", "long"))
+def test_records_from_csv_names_the_line_of_a_row_of_the_wrong_width(edit):
+    # line 1 is the schema comment, line 2 the header, line 4 the second record
+    text = cut_last_row(records_to_csv([mk(), mk(problem="q")]), edit)
+    message = r"^records CSV line 4 does not have the header's 13 fields$"
+    with pytest.raises(ValueError, match=message):
+        records_from_csv(text)
+
+
 # ---------------------------------------------------------------------------
 # performance profiles
 
@@ -557,6 +572,16 @@ def test_cli_boundary_rejects_records_without_a_column(tmp_path):
     res = records_cli(tmp_path, "boundary", text)
     assert res.exit_code == 2, res.output
     assert "Invalid value for '--records': records CSV lacks columns ['problem']" in res.output
+
+
+def test_cli_profile_rejects_a_truncated_records_file(tmp_path):
+    text = cut_last_row(records_to_csv([mk()]), lambda f: f[:-1])
+    res = records_cli(tmp_path, "profile", text)
+    assert res.exit_code == 2, res.output
+    assert res.output.splitlines()[-1] == (
+        "Error: Invalid value for '--records': "
+        "records CSV line 3 does not have the header's 13 fields"
+    )
 
 
 def test_cli_profile_reports_no_solved_instance_in_one_line(tmp_path):

@@ -1,10 +1,17 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import curveopt
 from curveopt.errors import ProjectionError
 from curveopt.sets import (
     FEAS_TOL,
     SET_NAMES,
+    _uniform,
     make_box,
     make_composite,
     make_ellipsoid,
@@ -119,6 +126,59 @@ def test_ellipsoid_seed_reproducible():
 def test_ellipsoid_rejects_bad_diag():
     with pytest.raises(ValueError):
         make_ellipsoid(2, p_diag=np.array([1.0, -1.0]))
+
+
+def test_ellipsoid_rejects_diag_of_wrong_shape():
+    with pytest.raises(ValueError, match=r"p_diag has shape \(2,\) but the set needs \(3,\)"):
+        make_ellipsoid(3, p_diag=np.ones(2))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_ellipsoid_rejects_non_finite_diag(bad):
+    with pytest.raises(ValueError, match="p_diag entries must be finite"):
+        make_ellipsoid(2, p_diag=np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    ((-1, "seed must be nonnegative, not -1"), (1.5, "seed must be an integer, not 1.5")),
+)
+def test_ellipsoid_rejects_bad_seed(seed, message):
+    with pytest.raises(ValueError, match=message):
+        make_ellipsoid(2, seed=seed)
+
+
+def test_uniform_matches_numpy_bitwise():
+    seeds = [*range(1101), 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+    for seed in seeds:
+        for n in (0, 1, 2, 7, 1000):
+            ours = np.array(_uniform(seed, 0.5, 2.0, n), dtype=float)
+            theirs = np.random.default_rng(seed).uniform(0.5, 2.0, size=n)
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), (seed, n)
+
+
+def test_building_the_sets_loads_neither_numpy_random_nor_hashlib():
+    # numpy.random, and hashlib with it, add about 5 MiB to a process; what
+    # `import numpy` loads itself (numpy.random under numpy 1.x) is not counted
+    code = """
+import sys
+import numpy
+before = set(sys.modules)
+from curveopt.sets import SET_NAMES, make_set
+for name in SET_NAMES:
+    make_set(name, 5)
+print(sorted({"numpy.random", "hashlib"} & (set(sys.modules) - before)))
+"""
+    src = str(pathlib.Path(curveopt.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

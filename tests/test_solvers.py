@@ -12,6 +12,7 @@ from curveopt.errors import SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
 from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
+    ALPHA,
     DELTA,
     ETA0,
     SIGMA,
@@ -347,18 +348,6 @@ def test_start_of_another_shape_is_rejected_before_a_run(x0):
             "sufficient_decrease failed at iterate 0, last trial 1.0",
             id="spg",
         ),
-        # chnrosnb4's sixth step on the box leaves the set at the momentum
-        # weight 0.9, and max_backtracks = 0 leaves no smaller weight
-        pytest.param(
-            "scs",
-            get_problem("chnrosnb4"),
-            make_set("box", 4),
-            5,
-            pytest.approx(36.67833854215012),
-            "momentum reduction exhausted its budget: "
-            "feasibility failed at iterate 5, last trial 0.9",
-            id="scs-momentum",
-        ),
     ],
 )
 def test_search_failure_ends_run(solver, problem, fset, iterations, f_star, detail):
@@ -367,6 +356,50 @@ def test_search_failure_ends_run(solver, problem, fset, iterations, f_star, deta
     assert rec.iterations == iterations
     assert rec.f_star == f_star
     assert rec.detail == detail
+
+
+#: the spectral window of Birgin, Martinez & Raydan's SPG
+WIDE_WINDOW = SolverConfig(eta_min=1e-30, eta_max=1e30)
+
+
+# Each of these SCS runs once ended search_failure at the wide window, with
+# "momentum reduction exhausted its budget": near eta_max the momentum term
+# beta * eta * (x - x_prev) stays large through every halving of beta.
+@pytest.mark.parametrize(
+    "M, problem, set_name",
+    (
+        (0, "chnrosnb100", "sph"),
+        (10, "chnrosnb4", "box"),
+        (0, "chnrosnb4", "ell"),
+        (10, "chnrosnb4", "ell"),
+        (0, "chnrosnb4", "sph"),
+        (0, "rosenbrock2", "com"),
+        (10, "rosenbrock2", "com"),
+        (0, "rosenbrock2", "ell"),
+        (10, "rosenbrock2", "ell"),
+    ),
+)
+def test_scs_is_well_defined_at_the_wide_window(M, problem, set_name):
+    p = get_problem(problem)
+    fset = make_set(set_name, p.dim, ell_seed=p.dim)  # the desk plan's seed 0
+    rec = solve("scs", p, fset, dataclasses.replace(WIDE_WINDOW, M=M))
+    assert rec.status == STATUS_STATIONARY, rec.detail
+
+
+def test_exhausted_momentum_reduction_falls_back_to_the_line():
+    # rosenbrock2's fifth step on com passes the certificate, but at the
+    # wide window no momentum weight the reduction tries keeps the endpoint
+    # feasible; the step takes the straight line and counts a fallback
+    fset = make_set("com", 2)
+    rec = replay_run(get_problem("rosenbrock2"), fset, WIDE_WINDOW)
+    assert rec.status == STATUS_STATIONARY
+    r = rec.trace[4]
+    assert r.fallback and not r.adaptive and r.s is r.d
+    decision = feasibility_certificate(
+        QuadraticCurve(r.x, r.d, r.s_candidate), fset, T_TILDE, r.eps
+    )
+    assert decision is CurveDecision.CURVE_OK
+    assert rec.fallbacks == sum(e.fallback for e in rec.trace) >= 2
 
 
 def log_barrier2():
@@ -581,13 +614,23 @@ def replay_run(p, fset, cfg):
         # primary direction reproduces from the stored iterate and steplength
         d = spg_direction(p, fset, r.x, r.eta)
         assert np.allclose(d, r.d, atol=1e-12)
-        # certificate decision reproduces from the stored momentum candidate
+        # certificate decision reproduces from the stored momentum candidate;
+        # a fallback past a passed certificate is an exhausted momentum
+        # reduction, from x_prev, the previous entry's iterate
         if r.k > 0:
             decision = feasibility_certificate(
                 QuadraticCurve(r.x, r.d, r.s_candidate), fset, T_TILDE, r.eps
             )
-            expect = CurveDecision.FALL_BACK if r.fallback else CurveDecision.CURVE_OK
-            assert decision is expect
+            if r.fallback and decision is CurveDecision.CURVE_OK:
+                x_prev = rec.trace[r.k - 1].x
+                with pytest.raises(SearchFailureError):
+                    adaptive_momentum(
+                        r.d, r.x, x_prev, fset, ALPHA, r.beta_used, r.eta, DELTA,
+                        cfg.max_backtracks,
+                    )
+            else:
+                expect = CurveDecision.FALL_BACK if r.fallback else CurveDecision.CURVE_OK
+                assert decision is expect
         if r.fallback:
             assert np.array_equal(r.s, r.d)
         c = QuadraticCurve(r.x, r.d, r.s)
