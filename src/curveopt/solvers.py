@@ -304,8 +304,6 @@ class _CurveStep:
             self.fallbacks += 1
 
         curve = QuadraticCurve(x, d, s)
-        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
-
         if rec is not None:
             rec.fallback = fallback
             rec.adaptive = adaptive
@@ -315,6 +313,7 @@ class _CurveStep:
             if rec.x is not None:  # a vector trace
                 rec.s = s
                 rec.s_candidate = s_candidate
+        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
 
         if cfg.dynamic_beta:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / DELTA)
@@ -335,13 +334,13 @@ class _LineStep:
 
     def __call__(self, x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec):
         cfg = self.cfg
+        if rec is not None:
+            rec.straight_line = True
         lam = 1.0
         for _ in range(cfg.max_backtracks + 1):
             xt = x + lam * d
             ft = self.p.f(xt)
             if ft <= f_ref + SIGMA * lam * grad_dot_d:
-                if rec is not None:
-                    rec.straight_line = True
                 return xt, ft, lam
             denom = 2.0 * (ft - fx - lam * grad_dot_d)
             lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
@@ -391,6 +390,8 @@ def solve(
     accepted step ends it too, before anything is projected from that point.
     `rec` is the iteration's trace entry or None; a step writes only its own
     fields, and its arrays only when `rec.x` is set, that is in a vector trace.
+    The loop and the step fill the entry before the search and set `t` after
+    it, so the entry of a step whose search fails has every field but `t`.
     """
     if solver not in SOLVERS:
         raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")
@@ -440,6 +441,12 @@ def solve(
         d = pz - x
         grad_dot_d = float(np.dot(grad, d))
         f_ref = max(f_hist)
+        if rec is not None:
+            rec.grad_dot_d = grad_dot_d
+            rec.eta = eta
+            rec.f_ref = f_ref
+            if vectors:
+                rec.d = d
         try:
             x_next, f_next, t = step(x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec)
         except SearchFailureError as exc:
@@ -451,11 +458,6 @@ def solve(
             break
         if rec is not None:
             rec.t = t
-            rec.grad_dot_d = grad_dot_d
-            rec.eta = eta
-            rec.f_ref = f_ref
-            if vectors:
-                rec.d = d
 
         grad_next = p.grad(x_next)
         detail = _non_finite(f_next, grad_next, k + 1)

@@ -358,6 +358,23 @@ def test_search_failure_ends_run(solver, problem, fset, iterations, f_star, deta
     assert rec.detail == detail
 
 
+def test_failed_step_is_traced():
+    # chnrosnb4 on the box without backtracks: step 5 falls back to the
+    # line, whose search then fails; its entry still describes the step
+    rec = solve(
+        "scs", get_problem("chnrosnb4"), make_set("box", 4),
+        SolverConfig(max_backtracks=0), record_trace="vectors",
+    )
+    assert rec.status == STATUS_SEARCH_FAILURE and rec.iterations == 5
+    assert rec.fallbacks == sum(e.fallback for e in rec.trace) == 3
+    last = rec.trace[-1]
+    assert last.k == 5 and last.t is None
+    assert last.fallback and not last.adaptive and last.straight_line
+    assert last.s is last.d
+    for name in ("beta_used", "eps", "eta", "grad_dot_d", "f_ref", "s_candidate"):
+        assert getattr(last, name) is not None, name
+
+
 #: the spectral window of Birgin, Martinez & Raydan's SPG
 WIDE_WINDOW = SolverConfig(eta_min=1e-30, eta_max=1e30)
 
