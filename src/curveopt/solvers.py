@@ -118,8 +118,8 @@ class IterationRecord:
 
     With `record_trace=True` an entry holds only scalars, and `x`, `d`, `s`
     and `s_candidate` stay None.  With `record_trace="vectors"` it also holds
-    those arrays, the run's own and not copies: `s is s_candidate` on a
-    momentum step without adaptive momentum and `s is d` on a fallback.  The
+    those arrays, the run's own and not copies: `s is s_candidate` on every
+    momentum step that keeps its weight and `s is d` on a fallback.  The
     solver never writes into them, and neither may a reader of the trace.
     """
 
@@ -197,19 +197,17 @@ def adaptive_momentum(
 ) -> tuple[Vector, float]:
     """Geometrically shrink the momentum weight until the endpoint is feasible.
 
-    Returns (s, beta_k) with beta_k the largest delta^h * beta making
-    x + alpha*d + beta_k*eta*(x - x_prev) feasible, or raises
-    SearchFailureError when no h <= max_backtracks does; with eta near a wide
-    window's eta_max the momentum term can outlast every halving.  The SCS
-    step then falls back to the straight line.
+    Returns (s, beta_k) with beta_k the largest delta^h * beta making x + s
+    feasible for s = build_secondary_direction(d, x, x_prev, alpha, beta_k,
+    eta), or raises SearchFailureError when no h <= max_backtracks does;
+    with eta near a wide window's eta_max the momentum term can outlast
+    every halving.  The SCS step then falls back to the straight line.
     """
-    base = x + alpha * d
-    momentum = eta * (x - x_prev)
     beta_k = beta
     for h in range(max_backtracks + 1):
-        endpoint = base + beta_k * momentum
-        if fset.max_violation(endpoint) <= FEAS_TOL:
-            return endpoint - x, beta_k
+        s = build_secondary_direction(d, x, x_prev, alpha, beta_k, eta)
+        if fset.max_violation(x + s) <= FEAS_TOL:
+            return s, beta_k
         beta_k *= delta
     raise SearchFailureError(
         "momentum reduction exhausted its budget",
@@ -274,8 +272,7 @@ class _CurveStep:
         x_prev = x if first else self.x_prev
         moved = z - pz
         proj_required = math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
-        s_candidate = build_secondary_direction(d, x, x_prev, ALPHA, self.beta, eta)
-        s = s_candidate
+        s = s_candidate = build_secondary_direction(d, x, x_prev, ALPHA, self.beta, eta)
 
         # the first step has no momentum and always runs along the straight line
         fallback = first
@@ -288,7 +285,7 @@ class _CurveStep:
             fallback = decision is CurveDecision.FALL_BACK
         if not fallback and cfg.adaptive_momentum and proj_required:
             try:
-                s, beta_k = adaptive_momentum(
+                s_reduced, beta_k = adaptive_momentum(
                     d, x, x_prev, self.fset, ALPHA, self.beta, eta, DELTA, cfg.max_backtracks
                 )
             except SearchFailureError:
@@ -297,7 +294,9 @@ class _CurveStep:
                 fallback = True
             else:
                 adaptive = True
+                # a kept weight rebuilds s_candidate; search the certified one
                 if beta_k < self.beta:
+                    s = s_reduced
                     self.adaptive_reductions += 1
         if fallback:
             s = d

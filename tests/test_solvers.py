@@ -650,6 +650,11 @@ def replay_run(p, fset, cfg):
                 assert decision is expect
         if r.fallback:
             assert np.array_equal(r.s, r.d)
+        else:
+            # the step searched the heavy-ball direction of its recorded weight
+            x_prev = rec.trace[r.k - 1].x
+            s = build_secondary_direction(r.d, r.x, x_prev, ALPHA, r.beta_used, r.eta)
+            assert np.array_equal(r.s, s)
         c = QuadraticCurve(r.x, r.d, r.s)
         # accepted point is feasible and passes the recorded Armijo test
         xt = c.eval(r.t)
@@ -699,6 +704,11 @@ def test_trace_shares_step_arrays():
         assert r.max_g == fset.max_violation(r.x)
     assert rec.final_x is not rec.trace[-1].x
     assert np.array_equal(rec.final_x, rec.trace[-1].x)
+    # beale2 on the box keeps the momentum weight on its adaptive steps,
+    # and each searches the direction the certificate checked
+    kept = solve("scs", get_problem("beale2"), make_set("box", 2), record_trace="vectors")
+    adaptive = [r for r in kept.trace if r.adaptive]
+    assert adaptive and all(r.s is r.s_candidate for r in adaptive)
 
 
 # ---------------------------------------------------------------------------
