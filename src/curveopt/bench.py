@@ -367,8 +367,11 @@ def boundary_subset(records: list[RunRecord], tol: float = 1e-5) -> list[tuple[s
 
     Classification uses the final point of the successful run with the
     lowest objective: the instance is included when that point has a
-    constraint value within tol of zero.
+    constraint value within tol of zero.  A tol that is negative or not
+    finite raises ValueError.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, not {tol!r}")
     by_instance: dict[tuple[str, str], list[RunRecord]] = {}
     for r in records:
         by_instance.setdefault(instance_id(r), []).append(r)

@@ -105,7 +105,11 @@ def boundary_cmd(records_path, tol):
     """List instances whose best solution lies on the feasible boundary."""
     with _records_errors():
         records = records_from_csv(pathlib.Path(records_path).read_text())
-    for problem, fset in boundary_subset(records, tol=tol):
+    try:
+        instances = boundary_subset(records, tol=tol)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--tol'") from exc
+    for problem, fset in instances:
         click.echo(f"{problem},{fset}")
 
 

@@ -71,14 +71,14 @@ class SolverConfig:
                 object.__setattr__(self, name, int(operator.index(value)))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, not {value!r}") from None
-        if not 0.0 < self.eta_min < self.eta_max:
-            raise ValueError("need 0 < eta_min < eta_max")
+        if not 0.0 < self.eta_min < self.eta_max < math.inf:
+            raise ValueError("need 0 < eta_min < eta_max < inf")
         if not self.eta_min <= ETA0 <= self.eta_max:
             raise ValueError(f"eta_min and eta_max must bracket the first step {ETA0}")
         if not 0.0 <= self.beta0 < 1.0:
             raise ValueError("beta0 must be in [0, 1)")
-        if not self.stat_tol >= 0.0:
-            raise ValueError("stat_tol must be nonnegative")
+        if not 0.0 <= self.stat_tol < math.inf:
+            raise ValueError("stat_tol must be finite and nonnegative")
         if not self.M >= 0:
             raise ValueError("M must be nonnegative")
         if not self.max_iters >= 0:

@@ -1,4 +1,5 @@
 from dataclasses import fields
+import math
 
 import numpy as np
 import pytest
@@ -153,6 +154,7 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("beale2",), ("box",), (("spg", 0), ("scs", 2.5))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"nope": 1}),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"beta0": 1.5}),
+        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"eta_max": math.inf}),
         BenchPlan(("rosenbrock2", "rosenbrock2"), ("box",), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box", "sph", "box"), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box",), (("scs", 0), ("scs", 10), ("scs", 0))),
@@ -432,6 +434,12 @@ def test_boundary_subset_tolerance():
     assert boundary_subset(recs, tol=1e-2) == [("p0", "box")]
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_boundary_subset_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        boundary_subset([mk()], tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -482,6 +490,9 @@ def test_cli_end_to_end(tmp_path):
         ["profile", "--tau-max", "nan"],
         ["profile", "--tau-max", "inf"],
         ["run", "--seed", "-1"],
+        ["boundary", "--tol", "-1"],
+        ["boundary", "--tol", "nan"],
+        ["boundary", "--tol", "inf"],
     ],
 )
 def test_cli_rejects_out_of_range_options(tmp_path, args):
@@ -493,6 +504,7 @@ def test_cli_rejects_out_of_range_options(tmp_path, args):
     inputs = {
         "run": ["--plan", str(plan_file), "--out", str(out)],
         "profile": ["--records", str(records_csv), "--out", str(out)],
+        "boundary": ["--records", str(records_csv)],
     }
     res = CliRunner().invoke(cli_main, args + inputs[args[0]])
     assert res.exit_code == 2, res.output

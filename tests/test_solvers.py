@@ -248,6 +248,10 @@ def test_stationarity_measure_examples():
         {"beta0": math.nan},
         {"stat_tol": -1e-3},
         {"stat_tol": math.nan},
+        # an infinite tolerance calls every start stationary
+        {"stat_tol": math.inf},
+        # nonpositive curvature would give an infinite steplength
+        {"eta_max": math.inf},
         {"M": 2.5},
         {"M": "3"},
         {"max_iters": 3.5},
