@@ -390,7 +390,8 @@ def solve(
     `rec` is the iteration's trace entry or None; a step writes only its own
     fields, and its arrays only when `rec.x` is set, that is in a vector trace.
     The loop and the step fill the entry before the search and set `t` after
-    it, so the entry of a step whose search fails has every field but `t`.
+    it, so when a search fails the last entry describes that step, with `t`
+    None.
     """
     if solver not in SOLVERS:
         raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")

@@ -154,12 +154,12 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("beale2",), ("box",), (("spg", 0), ("scs", 2.5))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"nope": 1}),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"beta0": 1.5}),
-        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"eta_max": math.inf}),
         BenchPlan(("rosenbrock2", "rosenbrock2"), ("box",), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box", "sph", "box"), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box",), (("scs", 0), ("scs", 10), ("scs", 0))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"M": 5}),
         BenchPlan(("beale2",), ("box", "ell"), (("scs", 0),), seed=-10),
+        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"eta_max": math.inf}),
     ],
 )
 def test_plan_validate_rejects(plan):
