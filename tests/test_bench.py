@@ -1,5 +1,5 @@
-from dataclasses import fields
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
