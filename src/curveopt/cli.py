@@ -45,7 +45,7 @@ def main():
 
 @main.command("run")
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option(
     "--seed", default=None, type=click.IntRange(min=0), help="Override the plan's seed."
@@ -56,11 +56,16 @@ def run_cmd(plan_path, out_dir, jobs, seed):
         plan = parse_plan(pathlib.Path(plan_path).read_text())
         if seed is not None:
             plan = dataclasses.replace(plan, seed=seed)
-        records = run_plan(plan, jobs=jobs)  # validates the plan before any run
+        plan.validate()
     except PlanError as exc:
         raise click.BadParameter(str(exc), param_hint="'--plan'") from exc
+    # made before any run, so an unusable --out does not cost the plan's runs
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--out'") from exc
+    records = run_plan(plan, jobs=jobs)
     target = out / "records.csv"
     target.write_text(records_to_csv(records))
     ok = sum(1 for r in records if is_success(r))
@@ -91,7 +96,10 @@ def profile_cmd(records_path, metric, out_path, tau_max, tau_points):
     with _records_errors():
         records = records_from_csv(pathlib.Path(records_path).read_text())
         table = performance_profile(records, metric, grid)
-    pathlib.Path(out_path).write_text(table.to_csv())
+    try:
+        pathlib.Path(out_path).write_text(table.to_csv())
+    except OSError as exc:
+        raise click.ClickException(f"cannot write --out: {exc}") from exc
     click.echo(
         f"profile over {len(table.included_instances)} instances, "
         f"{len(table.rho)} solvers -> {out_path}"

@@ -157,7 +157,7 @@ def _trigonometric(n):
 
     def grad(x):
         r = residuals(x)
-        # J[i, j] = sin(x_j) for j != i; diagonal adds (i+1) sin(x_i) - cos(x_i) - ... see residual
+        # dr_i/dx_j = sin(x_j) + [i == j] (idx_i sin(x_i) - cos(x_i)); grad = 2 J'r
         s = np.sin(x)
         g = 2.0 * r.sum() * s
         g += 2.0 * r * (idx * s - np.cos(x))
@@ -286,12 +286,18 @@ def check_gradient(p: SmoothProblem, x: Vector, h: float) -> float:
     """Max relative error between the analytic gradient and central differences.
 
     The relative denominator is max(1, |analytic component|) so the measure
-    stays meaningful near stationary points.
+    stays meaningful near stationary points.  A step h outside (0, inf)
+    raises ValueError; a non-finite analytic gradient entry or objective
+    value raises EvaluationError.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < np.inf:  # NaN fails too
+        raise ValueError(f"step h must be positive and finite, not {h!r}")
     x = np.asarray(x, dtype=float)
     analytic = p.grad(x)
+    bad = np.flatnonzero(~np.isfinite(analytic))
+    if bad.size:
+        i = int(bad[0])
+        raise EvaluationError(f"{p.name}: analytic gradient entry {i} is {float(analytic[i])}")
     worst = 0.0
     for i in range(p.dim):
         e = np.zeros(p.dim)

@@ -204,8 +204,11 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
 
     def project(z):
         z = np.asarray(z, dtype=float)
-        if g(z)[0] <= 0.0:
+        gz = g(z)[0]
+        if gz <= 0.0:
             return np.array(z)
+        if not math.isfinite(gz):
+            raise ProjectionError("ellipsoid projection: g(z) is not finite")
         d = z - c
         pd = p * d
         dphi_num = -4.0 * p * d * d

@@ -68,9 +68,16 @@ class SolverConfig:
         for name in ("M", "max_iters", "max_backtracks"):
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, int(operator.index(value)))
+                value = int(operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, not {value!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, value)
+        for name in ("adaptive_momentum", "dynamic_beta"):
+            if not isinstance(value := getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be True or False, not {value!r}")
+            object.__setattr__(self, name, bool(value))
         if not 0.0 < self.eta_min < self.eta_max < math.inf:
             raise ValueError("need 0 < eta_min < eta_max < inf")
         if not self.eta_min <= ETA0 <= self.eta_max:
@@ -79,14 +86,8 @@ class SolverConfig:
             raise ValueError("beta0 must be in [0, 1)")
         if not 0.0 <= self.stat_tol < math.inf:
             raise ValueError("stat_tol must be finite and nonnegative")
-        if not self.M >= 0:
-            raise ValueError("M must be nonnegative")
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters must be nonnegative")
         if not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
-        if not self.max_backtracks >= 0:
-            raise ValueError("max_backtracks must be nonnegative")
 
 
 STATUS_STATIONARY = "stationary"
@@ -178,40 +179,40 @@ def spectral_eta(r: Vector, y: Vector, eta_min: float, eta_max: float) -> float:
 
 
 def build_secondary_direction(
-    d: Vector, x: Vector, x_prev: Vector, alpha: float, beta: float, eta: float
+    d: Vector, x: Vector, x_prev: Vector, beta: float, eta: float
 ) -> Vector:
     """Heavy-ball secondary direction with spectrally rescaled momentum."""
-    return alpha * d + (beta * eta) * (x - x_prev)
+    return ALPHA * d + (beta * eta) * (x - x_prev)
 
 
 def adaptive_momentum(
-    d: Vector,
-    x: Vector,
+    c: QuadraticCurve,
     x_prev: Vector,
     fset: ConvexFeasibleSet,
-    alpha: float,
     beta: float,
     eta: float,
-    delta: float,
     max_backtracks: int,
 ) -> tuple[Vector, float]:
     """Geometrically shrink the momentum weight until the endpoint is feasible.
 
-    Returns (s, beta_k) with beta_k the largest delta^h * beta making x + s
-    feasible for s = build_secondary_direction(d, x, x_prev, alpha, beta_k,
-    eta), or raises SearchFailureError when no h <= max_backtracks does;
-    with eta near a wide window's eta_max the momentum term can outlast
-    every halving.  The SCS step then falls back to the straight line.
+    `c` is the momentum curve of weight beta, and c.s the first trial.
+    Returns (s, beta_k) with beta_k the largest DELTA^h * beta making c.x + s
+    feasible for s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta),
+    and `s is c.s` when beta_k = beta; raises SearchFailureError when no
+    h <= max_backtracks does: with eta near a wide window's eta_max the
+    momentum term can outlast every halving.  The SCS step then falls back
+    to the straight line.
     """
-    beta_k = beta
+    s, beta_k = c.s, beta
     for h in range(max_backtracks + 1):
-        s = build_secondary_direction(d, x, x_prev, alpha, beta_k, eta)
-        if fset.max_violation(x + s) <= FEAS_TOL:
+        if h:
+            s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta)
+        if fset.max_violation(c.x + s) <= FEAS_TOL:
             return s, beta_k
-        beta_k *= delta
+        beta_k *= DELTA
     raise SearchFailureError(
         "momentum reduction exhausted its budget",
-        last_trial=beta_k / delta,
+        last_trial=beta_k / DELTA,
         failed_condition="feasibility",
     )
 
@@ -268,25 +269,23 @@ class _CurveStep:
 
     def __call__(self, x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec):
         cfg = self.cfg
-        first = self.x_prev is None
-        x_prev = x if first else self.x_prev
+        # the first step has no momentum and always runs along the straight line
+        fallback = self.x_prev is None
+        x_prev = x if fallback else self.x_prev
         moved = z - pz
         proj_required = math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
-        s = s_candidate = build_secondary_direction(d, x, x_prev, ALPHA, self.beta, eta)
+        s = s_candidate = build_secondary_direction(d, x, x_prev, self.beta, eta)
+        curve = QuadraticCurve(x, d, s)
 
-        # the first step has no momentum and always runs along the straight line
-        fallback = first
         adaptive = False
         beta_k = self.beta
         if not fallback:
-            decision = feasibility_certificate(
-                QuadraticCurve(x, d, s), self.fset, T_TILDE, self.eps
-            )
+            decision = feasibility_certificate(curve, self.fset, T_TILDE, self.eps)
             fallback = decision is CurveDecision.FALL_BACK
         if not fallback and cfg.adaptive_momentum and proj_required:
             try:
-                s_reduced, beta_k = adaptive_momentum(
-                    d, x, x_prev, self.fset, ALPHA, self.beta, eta, DELTA, cfg.max_backtracks
+                s, beta_k = adaptive_momentum(
+                    curve, x_prev, self.fset, self.beta, eta, cfg.max_backtracks
                 )
             except SearchFailureError:
                 # no weight on the budget's grid makes the momentum endpoint
@@ -294,15 +293,12 @@ class _CurveStep:
                 fallback = True
             else:
                 adaptive = True
-                # a kept weight rebuilds s_candidate; search the certified one
-                if beta_k < self.beta:
-                    s = s_reduced
-                    self.adaptive_reductions += 1
+                self.adaptive_reductions += beta_k < self.beta
         if fallback:
             s = d
             self.fallbacks += 1
-
-        curve = QuadraticCurve(x, d, s)
+        if s is not s_candidate:
+            curve = QuadraticCurve(x, d, s)
         if rec is not None:
             rec.fallback = fallback
             rec.adaptive = adaptive
@@ -378,8 +374,8 @@ def solve(
     `record_trace` is False for no trace, True for one `IterationRecord` of
     scalars per iteration, or "vectors" for entries that also hold the
     iterate and the step's directions.  An unknown solver raises KeyError;
-    an unknown trace mode, a set whose dimension is not the problem's, or an
-    `x0` not of shape (p.dim,) raises ValueError, before any oracle call.
+    an unknown trace mode, a set of another dimension, an `x0` not of shape
+    (p.dim,) or a non-finite start raises ValueError, before any oracle call.
 
     Each iteration forms z = x - eta*grad, d = project(z) - x and grad'd
     once; the step `SOLVERS[solver](p, fset, cfg)`, called as
@@ -402,9 +398,12 @@ def solve(
         )
     if x0 is not None and np.shape(x0) != (p.dim,):
         raise ValueError(f"x0 has shape {np.shape(x0)} but problem {p.name} needs ({p.dim},)")
+    x = np.array(p.start if x0 is None else x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"the start of {p.name} has a non-finite entry")
     step = SOLVERS[solver](p, fset, cfg)
     t0 = time.perf_counter()
-    x = fset.project(np.array(p.start if x0 is None else x0, dtype=float))
+    x = fset.project(x)
     grad = p.grad(x)
     fx = p.f(x)
     eta = ETA0

@@ -25,6 +25,7 @@ from curveopt.solvers import (
     STATUS_STATIONARY,
     SolverConfig,
     adaptive_momentum,
+    build_secondary_direction,
     solve,
 )
 from curveopt.solvers import RunRecord
@@ -213,15 +214,13 @@ def test_c08_projection_oracles(capsys):
 
 def test_c09_momentum_reduction_at_boundary(capsys):
     b = make_box(2)
+    d, x, x_prev = np.array([-0.05, 0.02]), np.array([1.0, 0.0]), np.array([0.9, -0.5])
     s, beta_k = adaptive_momentum(
-        d=np.array([-0.05, 0.02]),
-        x=np.array([1.0, 0.0]),
-        x_prev=np.array([0.9, -0.5]),
+        c=QuadraticCurve(x, d, build_secondary_direction(d, x, x_prev, beta=0.9, eta=2.5)),
+        x_prev=x_prev,
         fset=b,
-        alpha=0.999,
         beta=0.9,
         eta=2.5,
-        delta=0.5,
         max_backtracks=60,
     )
     ok = beta_k > 0.0

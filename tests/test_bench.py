@@ -565,6 +565,32 @@ def test_cli_run_rejects_an_invalid_plan(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out_name", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
+def test_cli_run_rejects_an_unusable_out_before_any_run(tmp_path, monkeypatch, out_name):
+    # a bad --out must cost no run of the plan
+    started = []
+    spg = SOLVERS["spg"]
+    monkeypatch.setitem(SOLVERS, "spy", lambda p, fset, cfg: started.append(p) or spg(p, fset, cfg))
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("problems = beale2\nsets = box\nsolvers = spy:0\n")
+    (tmp_path / "taken").write_text("not a directory\n")
+    out = tmp_path / out_name
+    res = CliRunner().invoke(cli_main, ["run", "--plan", str(plan_file), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--out'" in res.output
+    assert started == []
+
+
+def test_cli_profile_reports_an_unwritable_out_in_one_line(tmp_path):
+    records_csv = tmp_path / "records.csv"
+    records_csv.write_text(records_to_csv([mk()]))
+    out = tmp_path / "missing" / "profile.csv"
+    res = CliRunner().invoke(cli_main, ["profile", "--records", str(records_csv), "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: cannot write --out: [Errno 2] No such file or directory")
+    assert res.output.count("\n") == 1
+
+
 def records_cli(tmp_path, command, records):
     """Run `bench <command>` on a records file holding `records`."""
     path = tmp_path / "records.csv"

@@ -106,3 +106,32 @@ def test_gradients_match_finite_differences_everywhere():
             assert err <= 1e-5, f"{p.name}: fd error {err:.2e}"
             if np.linalg.norm(p.grad(x)) < 1.0:
                 assert err <= 1e-7, f"{p.name}: near-stationary fd error {err:.2e}"
+
+
+def square_norm_with_gradient(grad):
+    return SmoothProblem("sq2", 2, lambda x: float(np.dot(x, x)), grad, np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "grad, entry",
+    [
+        (lambda x: np.array([np.nan, 2.0 * x[1]]), r"entry 0 is nan$"),
+        (lambda x: np.array([2.0 * x[0], np.inf]), r"entry 1 is inf$"),
+        (lambda x: np.full(2, np.nan), r"entry 0 is nan$"),
+    ],
+    ids=["nan-first", "inf-second", "all-nan"],
+)
+def test_check_gradient_rejects_non_finite_analytic_gradient(grad, entry):
+    # max(worst, nan) keeps worst, so a NaN entry must be caught before it
+    p = square_norm_with_gradient(grad)
+    with pytest.raises(EvaluationError, match=entry):
+        check_gradient(p, np.ones(2), 1e-6)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_check_gradient_rejects_a_non_finite_step(h):
+    calls = []
+    p = square_norm_with_gradient(lambda x: calls.append(x) or 2.0 * x)
+    with pytest.raises(ValueError, match="step h must be positive and finite"):
+        check_gradient(p, np.ones(2), h)
+    assert calls == []

@@ -286,6 +286,14 @@ def test_composite_rejects_non_finite_point():
             c.project(np.array([0.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_ellipsoid_rejects_non_finite_point_at_once(bad):
+    # neither the bracketing nor the root finder can converge from here
+    e = make_ellipsoid(3, seed=2)
+    with pytest.raises(ProjectionError, match=r"^ellipsoid projection: g\(z\) is not finite$"):
+        e.project(np.array([0.0, bad, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # shared invariants over all four shipped sets
 

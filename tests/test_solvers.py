@@ -12,7 +12,6 @@ from curveopt.errors import SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
 from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
-    ALPHA,
     DELTA,
     ETA0,
     SIGMA,
@@ -106,25 +105,27 @@ def test_build_secondary_direction_worked_value():
         d=np.array([1.0, 0.0]),
         x=np.array([2.0, 2.0]),
         x_prev=np.array([1.0, 1.0]),
-        alpha=0.5,
         beta=0.25,
         eta=2.0,
     )
-    # 0.5 * d + 0.25 * 2.0 * (x - x_prev)
-    assert np.allclose(s, [1.0, 0.5])
+    # ALPHA * d + 0.25 * 2.0 * (x - x_prev)
+    assert np.allclose(s, [1.499, 0.5])
+
+
+def momentum_curve(d, x, x_prev, beta, eta):
+    """The SCS step's momentum curve of weight beta from x."""
+    d, x, x_prev = np.array(d), np.array(x), np.array(x_prev)
+    return QuadraticCurve(x, d, build_secondary_direction(d, x, x_prev, beta, eta))
 
 
 def test_adaptive_momentum_worked_reduction():
     b = make_box(2)
     s, beta_k = adaptive_momentum(
-        d=np.array([-0.05, 0.02]),
-        x=np.array([1.0, 0.0]),
+        c=momentum_curve(d=[-0.05, 0.02], x=[1.0, 0.0], x_prev=[0.9, -0.5], beta=0.9, eta=2.5),
         x_prev=np.array([0.9, -0.5]),
         fset=b,
-        alpha=0.999,
         beta=0.9,
         eta=2.5,
-        delta=0.5,
         max_backtracks=60,
     )
     # three halvings: 0.9 * 0.5**3
@@ -142,19 +143,14 @@ def test_adaptive_momentum_worked_reduction():
 
 def test_adaptive_momentum_no_reduction_needed():
     b = make_box(2)
+    c = momentum_curve(d=[-0.1, 0.0], x=[0.0, 0.0], x_prev=[0.0, 0.0], beta=0.9, eta=1.0)
     s, beta_k = adaptive_momentum(
-        d=np.array([-0.1, 0.0]),
-        x=np.zeros(2),
-        x_prev=np.zeros(2),
-        fset=b,
-        alpha=0.999,
-        beta=0.9,
-        eta=1.0,
-        delta=0.5,
-        max_backtracks=60,
+        c=c, x_prev=np.zeros(2), fset=b, beta=0.9, eta=1.0, max_backtracks=60
     )
     assert beta_k == 0.9
     assert np.allclose(s, [-0.0999, 0.0])
+    # a kept weight hands back the curve's own direction
+    assert s is c.s
 
 
 def test_adaptive_momentum_budget_exhausted():
@@ -162,14 +158,11 @@ def test_adaptive_momentum_budget_exhausted():
     b = make_box(1)
     with pytest.raises(SearchFailureError) as exc:
         adaptive_momentum(
-            d=np.array([5.0]),
-            x=np.array([0.0]),
+            c=momentum_curve(d=[5.0], x=[0.0], x_prev=[0.0], beta=0.9, eta=1.0),
             x_prev=np.array([0.0]),
             fset=b,
-            alpha=0.999,
             beta=0.9,
             eta=1.0,
-            delta=0.5,
             max_backtracks=5,
         )
     assert exc.value.failed_condition == "feasibility"
@@ -256,6 +249,11 @@ def test_stationarity_measure_examples():
         {"M": "3"},
         {"max_iters": 3.5},
         {"max_backtracks": 2.5},
+        # a non-empty string, even "no", reads as true
+        {"adaptive_momentum": "no"},
+        {"adaptive_momentum": 0},
+        {"dynamic_beta": "false"},
+        {"dynamic_beta": None},
     ],
     ids=lambda kwargs: "-".join(f"{k}-{v}" for k, v in kwargs.items()),
 )
@@ -263,6 +261,12 @@ def test_config_rejects_out_of_range(kwargs):
     # the message names every field of the case
     with pytest.raises(ValueError, match=".*".join(kwargs)):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["adaptive_momentum", "dynamic_beta"])
+def test_config_stores_flags_as_bool(field):
+    cfg = SolverConfig(**{field: np.bool_(False)})
+    assert getattr(cfg, field) is False
 
 
 @pytest.mark.parametrize("field", ["M", "max_iters", "max_backtracks"])
@@ -324,6 +328,22 @@ def test_start_of_another_shape_is_rejected_before_a_run(x0):
     calls = []
     with pytest.raises(ValueError, match=r"x0 has shape .* but problem ss2 needs \(2,\)$"):
         solve("spg", counting_problem(2, calls), make_box(2), x0=x0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("solver", ("scs", "spg"))
+@pytest.mark.parametrize("set_name", ("sph", "ell", "com", "box"))
+@pytest.mark.parametrize("where", ("x0", "p.start"))
+def test_non_finite_start_is_rejected_before_a_run(solver, set_name, where):
+    # a start the sets cannot project must end the same way on every set
+    calls = []
+    p = counting_problem(2, calls)
+    start = np.array([np.nan, 0.0])
+    if where == "p.start":
+        p = dataclasses.replace(p, start=start)
+    x0 = start if where == "x0" else None
+    with pytest.raises(ValueError, match=r"the start of ss2 has a non-finite entry"):
+        solve(solver, p, make_set(set_name, 2), x0=x0)
     assert calls == []
 
 
@@ -646,8 +666,8 @@ def replay_run(p, fset, cfg):
                 x_prev = rec.trace[r.k - 1].x
                 with pytest.raises(SearchFailureError):
                     adaptive_momentum(
-                        r.d, r.x, x_prev, fset, ALPHA, r.beta_used, r.eta, DELTA,
-                        cfg.max_backtracks,
+                        QuadraticCurve(r.x, r.d, r.s_candidate),
+                        x_prev, fset, r.beta_used, r.eta, cfg.max_backtracks,
                     )
             else:
                 expect = CurveDecision.FALL_BACK if r.fallback else CurveDecision.CURVE_OK
@@ -657,7 +677,7 @@ def replay_run(p, fset, cfg):
         else:
             # the step searched the heavy-ball direction of its recorded weight
             x_prev = rec.trace[r.k - 1].x
-            s = build_secondary_direction(r.d, r.x, x_prev, ALPHA, r.beta_used, r.eta)
+            s = build_secondary_direction(r.d, r.x, x_prev, r.beta_used, r.eta)
             assert np.array_equal(r.s, s)
         c = QuadraticCurve(r.x, r.d, r.s)
         # accepted point is feasible and passes the recorded Armijo test
