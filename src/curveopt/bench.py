@@ -148,8 +148,8 @@ def parse_plan(text: str) -> BenchPlan:
                 item = item.strip()
                 if not item:
                     continue
-                name, _, m = item.partition(":")
-                parsed.append((name.strip(), _convert(lineno, key, int, m) if m else 0))
+                name, colon, m = item.partition(":")
+                parsed.append((name.strip(), _convert(lineno, key, int, m) if colon else 0))
             solvers = tuple(parsed)
         elif key == "seed":
             seed = _convert(lineno, key, int, value)

@@ -59,15 +59,17 @@ def run_cmd(plan_path, out_dir, jobs, seed):
         plan.validate()
     except PlanError as exc:
         raise click.BadParameter(str(exc), param_hint="'--plan'") from exc
-    # made before any run, so an unusable --out does not cost the plan's runs
+    # opened before any run, so an unusable --out does not cost the plan's runs
     out = pathlib.Path(out_dir)
+    target = out / "records.csv"
     try:
         out.mkdir(parents=True, exist_ok=True)
+        records_file = target.open("w")
     except OSError as exc:
         raise click.BadParameter(str(exc), param_hint="'--out'") from exc
-    records = run_plan(plan, jobs=jobs)
-    target = out / "records.csv"
-    target.write_text(records_to_csv(records))
+    with records_file:
+        records = run_plan(plan, jobs=jobs)
+        records_file.write(records_to_csv(records))
     ok = sum(1 for r in records if is_success(r))
     click.echo(f"{len(records)} runs ({ok} stationary) -> {target}")
     # records.csv has no column for the exception message

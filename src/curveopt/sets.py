@@ -56,11 +56,23 @@ class ConvexFeasibleSet:
         return float(self.g(x).max())
 
 
+def _dimension(n) -> int:
+    """n as an int; ValueError unless it is a positive integer."""
+    try:
+        dim = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be a positive integer, not {n!r}") from None
+    if dim < 1:
+        raise ValueError(f"n must be a positive integer, not {n!r}")
+    return dim
+
+
 # ---------------------------------------------------------------------------
 # sphere
 
 
 def make_sphere(n: int) -> ConvexFeasibleSet:
+    n = _dimension(n)
     c = np.zeros(n)
     radius = 10.0
     r2 = radius * radius
@@ -89,9 +101,13 @@ def _clip(a: Vector, lo: float, hi: float) -> Vector:
 
 
 def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
-    """Bounds as 2n affine constraints: x_i - hi <= 0, then lo - x_i <= 0."""
-    if lo >= hi:
-        raise ValueError("lo must be < hi")
+    """Bounds as 2n affine constraints: x_i - hi <= 0, then lo - x_i <= 0.
+
+    Raises ValueError unless lo < hi, so a NaN bound is rejected too.
+    """
+    n = _dimension(n)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, not lo = {lo!r} and hi = {hi!r}")
 
     def g(x):
         return np.concatenate([x - hi, lo - x])
@@ -179,6 +195,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
     A p_diag not of shape (n,) or with a non-finite or nonpositive entry, and
     a seed that is negative or not an integer, raise ValueError.
     """
+    n = _dimension(n)
     try:
         seed = operator.index(seed)
     except TypeError:
@@ -254,6 +271,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
 
 def make_composite(n: int) -> ConvexFeasibleSet:
     """||x - c||^2 <= 100 (c = 4*ones), w^T x <= 5 (w = ones/n), -5 <= x_i <= 10."""
+    n = _dimension(n)
     c = np.full(n, 4.0)
     w = np.full(n, 1.0 / n)
     lo, hi = -5.0, 10.0
@@ -367,7 +385,10 @@ SET_NAMES = ("sph", "ell", "com", "box")
 
 
 def make_set(name: str, n: int, ell_seed: int = 0) -> ConvexFeasibleSet:
-    """Build one of the four shipped sets for ambient dimension n."""
+    """Build one of the four shipped sets for ambient dimension n.
+
+    Every builder raises ValueError for an n that is not a positive integer.
+    """
     if name == "sph":
         return make_sphere(n)
     if name == "ell":

@@ -18,7 +18,9 @@ import math
 import operator
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -88,6 +90,9 @@ class SolverConfig:
             raise ValueError("stat_tol must be finite and nonnegative")
         if not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
+        # stored as float, so that a packed trace gives back the type recorded
+        for name in ("beta0", "eta_min", "eta_max", "stat_tol", "time_limit"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 STATUS_STATIONARY = "stationary"
@@ -117,11 +122,13 @@ def trace_keeps_vectors(record_trace) -> bool:
 class IterationRecord:
     """Per-iteration trace entry: the iterate plus the step taken from it.
 
-    With `record_trace=True` an entry holds only scalars, and `x`, `d`, `s`
-    and `s_candidate` stay None.  With `record_trace="vectors"` it also holds
-    those arrays, the run's own and not copies: `s is s_candidate` on every
-    momentum step that keeps its weight and `s is d` on a fallback.  The
-    solver never writes into them, and neither may a reader of the trace.
+    `solve` fills one per iteration and packs them into the run's `Trace`,
+    which hands each back as a fresh copy.  With `record_trace=True` an
+    entry holds only scalars, and `x`, `d`, `s` and `s_candidate` stay None.
+    With `record_trace="vectors"` it also holds those arrays, the run's own
+    and not copies: `s is s_candidate` on every momentum step that keeps its
+    weight and `s is d` on a fallback.  The solver never writes into them,
+    and neither may a reader of the trace.
     """
 
     k: int
@@ -143,8 +150,94 @@ class IterationRecord:
     straight_line: bool = False
 
 
+_FLOAT_FIELDS = (
+    "f", "stationarity", "max_g", "t", "beta_used", "eta", "eps", "grad_dot_d", "f_ref"
+)
+_FLAG_FIELDS = ("fallback", "adaptive", "straight_line")
+_ARRAY_FIELDS = ("x", "d", "s", "s_candidate")
+_get_k = operator.attrgetter("k")
+_get_scalars = operator.attrgetter(*_FLOAT_FIELDS, *_FLAG_FIELDS)
+_get_arrays = operator.attrgetter(*_ARRAY_FIELDS)
+_NO_ARRAYS = (None,) * len(_ARRAY_FIELDS)
+
+
+class Trace(Sequence[IterationRecord]):
+    """A run's `IterationRecord`s, packed by field; read-only.
+
+    The float fields are one float64 array with a mask of the entries that
+    were None, the flags one bool array and `k` one int array, so an entry
+    of scalars holds about 100 bytes instead of about 320.  A vector trace,
+    one whose first entry holds its iterate, also keeps each entry's arrays
+    by reference, so `s is s_candidate` and `s is d` hold as recorded.
+    `trace[i]`, with i negative too, rebuilds a fresh `IterationRecord` whose
+    fields have the repr of the recorded entry's, so writing into it changes
+    nothing; a slice gives a list of them.
+    """
+
+    __slots__ = ("_k", "_floats", "_none", "_flags", "_arrays")
+
+    def __init__(self, entries: list[IterationRecord]):
+        n = len(entries)
+        self._k = np.fromiter(map(_get_k, entries), dtype=np.int64, count=n)
+        width = len(_FLOAT_FIELDS) + len(_FLAG_FIELDS)
+        cells = np.fromiter(
+            chain.from_iterable(map(_get_scalars, entries)), dtype=object, count=n * width
+        ).reshape(n, width)
+        # None becomes NaN here, so only a NaN cell can have been None
+        self._floats = cells[:, : len(_FLOAT_FIELDS)].astype(float)
+        self._none = np.zeros(self._floats.shape, dtype=bool)
+        i, j = np.nonzero(np.isnan(self._floats))
+        self._none[i, j] = np.equal(cells[i, j], None)
+        self._flags = cells[:, len(_FLOAT_FIELDS) :].astype(bool)
+        vectors = n > 0 and entries[0].x is not None
+        self._arrays = list(map(_get_arrays, entries)) if vectors else None
+
+    def __len__(self) -> int:
+        return len(self._k)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # IndexError out of range, negative i from the end
+        return _rebuild(
+            self._k[i].item(),
+            self._floats[i].tolist(),
+            self._none[i].tolist(),
+            self._flags[i].tolist(),
+            _NO_ARRAYS if self._arrays is None else self._arrays[i],
+        )
+
+    def __iter__(self):
+        arrays = self._arrays or [_NO_ARRAYS] * len(self)
+        columns = (self._k, self._floats, self._none, self._flags)
+        for row in zip(*(c.tolist() for c in columns), arrays):
+            yield _rebuild(*row)
+
+
+def _rebuild(k, floats, none, flags, arrays) -> IterationRecord:
+    """The IterationRecord of one packed Trace row."""
+    if True in none:
+        floats = [None if is_none else v for v, is_none in zip(floats, none)]
+    f, stationarity, max_g, t, beta_used, eta, eps, grad_dot_d, f_ref = floats
+    fallback, adaptive, straight_line = flags
+    x, d, s, s_candidate = arrays
+    return IterationRecord(
+        k=k, x=x, f=f, stationarity=stationarity, max_g=max_g, t=t,
+        fallback=fallback, adaptive=adaptive, beta_used=beta_used, eta=eta, eps=eps,
+        grad_dot_d=grad_dot_d, f_ref=f_ref, d=d, s=s, s_candidate=s_candidate,
+        straight_line=straight_line,
+    )
+
+
 @dataclass
 class RunRecord:
+    """One run's outcome: its status, final point, counts and time.
+
+    `trace` is None unless `solve` recorded a trace; then it is a read-only
+    `Trace` of one `IterationRecord` per iteration, packed after `elapsed`
+    was taken.
+    """
+
     solver_name: str
     problem_name: str
     set_name: str
@@ -160,7 +253,7 @@ class RunRecord:
     final_x: Vector | None = None
     max_g_final: float = float("nan")
     detail: str = ""  # why a non_finite, search_failure or error run stopped
-    trace: list[IterationRecord] | None = field(default=None, repr=False)
+    trace: Trace | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +464,9 @@ def solve(
 ) -> RunRecord:
     """Run the named solver from `x0`, or from the problem's projected start.
 
-    `record_trace` is False for no trace, True for one `IterationRecord` of
-    scalars per iteration, or "vectors" for entries that also hold the
-    iterate and the step's directions.  An unknown solver raises KeyError;
+    `record_trace` is False for no trace, True for a `Trace` of one
+    `IterationRecord` of scalars per iteration, or "vectors" for entries that
+    also hold the iterate and the step's directions.  An unknown solver raises KeyError;
     an unknown trace mode, a set of another dimension, an `x0` not of shape
     (p.dim,) or a non-finite start raises ValueError, before any oracle call.
 
@@ -387,7 +480,8 @@ def solve(
     fields, and its arrays only when `rec.x` is set, that is in a vector trace.
     The loop and the step fill the entry before the search and set `t` after
     it, so when a search fails the last entry describes that step, with `t`
-    None.
+    None.  The entries are packed into the run's `Trace` after `elapsed` is
+    taken, so packing is not timed.
     """
     if solver not in SOLVERS:
         raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")
@@ -486,5 +580,5 @@ def solve(
         final_x=np.array(x),
         max_g_final=fset.max_violation(x),
         detail=detail,
-        trace=trace,
+        trace=None if trace is None else Trace(trace),
     )

@@ -132,6 +132,7 @@ def test_parse_plan_boolean_spellings(word, value):
         ("max_iters = 3.5", "max_iters"),
         ("stat_tol = tiny", "stat_tol"),
         ("solvers = scs:x", "solvers"),
+        ("solvers = scs:", "solvers"),
         ("seed = one", "seed"),
         ("M = 5", "M"),
         ("problems = wood4", "problems"),
@@ -565,7 +566,11 @@ def test_cli_run_rejects_an_invalid_plan(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out_name", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize(
+    "out_name",
+    ["taken", "taken/sub", "blocked"],
+    ids=["a-file", "under-a-file", "records-csv-a-directory"],
+)
 def test_cli_run_rejects_an_unusable_out_before_any_run(tmp_path, monkeypatch, out_name):
     # a bad --out must cost no run of the plan
     started = []
@@ -574,6 +579,7 @@ def test_cli_run_rejects_an_unusable_out_before_any_run(tmp_path, monkeypatch, o
     plan_file = tmp_path / "plan.txt"
     plan_file.write_text("problems = beale2\nsets = box\nsolvers = spy:0\n")
     (tmp_path / "taken").write_text("not a directory\n")
+    (tmp_path / "blocked" / "records.csv").mkdir(parents=True)
     out = tmp_path / out_name
     res = CliRunner().invoke(cli_main, ["run", "--plan", str(plan_file), "--out", str(out)])
     assert res.exit_code == 2, res.output

@@ -84,6 +84,16 @@ def test_box_rejects_bad_bounds():
         make_box(2, lo=1.0, hi=1.0)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [{"lo": np.nan}, {"hi": np.nan}, {"lo": np.nan, "hi": np.nan}],
+    ids=["lo", "hi", "both"],
+)
+def test_box_rejects_nan_bounds(bounds):
+    with pytest.raises(ValueError, match="need lo < hi"):
+        make_box(2, **bounds)
+
+
 # ---------------------------------------------------------------------------
 # ellipsoid
 
@@ -343,6 +353,13 @@ def test_constraint_convexity_witness(name):
         t = rng.uniform()
         mid = fset.g(t * x + (1.0 - t) * y)
         assert np.all(mid <= t * fset.g(x) + (1.0 - t) * fset.g(y) + 1e-10)
+
+
+@pytest.mark.parametrize("n", (0, -1, 2.5))
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_builders_reject_a_dimension_that_is_not_a_positive_integer(name, n):
+    with pytest.raises(ValueError, match=rf"^n must be a positive integer, not {n}$"):
+        make_set(name, n)
 
 
 def test_registry():

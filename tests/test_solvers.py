@@ -22,6 +22,7 @@ from curveopt.solvers import (
     T_TILDE,
     IterationRecord,
     SolverConfig,
+    Trace,
     adaptive_momentum,
     build_secondary_direction,
     curve_search,
@@ -273,6 +274,18 @@ def test_config_stores_flags_as_bool(field):
 def test_config_stores_integer_fields_as_int(field):
     cfg = SolverConfig(**{field: np.int64(3)})
     assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beta0", 0), ("eta_min", np.float64(0.5)), ("eta_max", 1000), ("stat_tol", 0),
+        ("time_limit", 5),
+    ],
+)
+def test_config_stores_real_fields_as_float(field, value):
+    cfg = SolverConfig(**{field: value})
+    assert type(getattr(cfg, field)) is float and getattr(cfg, field) == value
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -882,21 +895,120 @@ def test_unknown_trace_mode_is_rejected_before_a_run(mode, monkeypatch):
     assert calls == []
 
 
-def test_scalar_trace_holds_a_tenth_of_a_vector_trace():
-    # a traced tridia1000/box scs:0 run of 100 iterations: the vector trace
-    # keeps four arrays of 1000 floats per entry, the scalar trace none
+def held_by_tridia_runs(modes):
+    """Bytes tracemalloc finds held by a tridia1000/box scs:0 run of 100
+    iterations, one run per trace mode."""
     p = get_problem("tridia1000")
     fset = make_set("box", p.dim)
     cfg = SolverConfig(max_iters=100)
+    # a first traced run fills the interpreter's free lists, which
+    # tracemalloc would otherwise count as held by the measured run
+    solve("scs", p, fset, cfg, record_trace=True)
     held = {}
-    for mode in (True, "vectors"):
+    for mode in modes:
         tracemalloc.start()
         rec = solve("scs", p, fset, cfg, record_trace=mode)
         held[mode] = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
         assert rec.iterations == 100
         del rec
+    return held
+
+
+def test_scalar_trace_holds_a_tenth_of_a_vector_trace():
+    # the vector trace keeps four arrays of 1000 floats per entry, the
+    # scalar trace none
+    held = held_by_tridia_runs((True, "vectors"))
     assert held[True] < held["vectors"] / 10
+
+
+def test_scalar_trace_entry_holds_at_most_150_bytes():
+    # packed by field an entry needs about 100 bytes; one IterationRecord
+    # with its boxed floats needs about 300
+    held = held_by_tridia_runs((False, True))
+    assert (held[True] - held[False]) / 101 <= 150  # 100 iterations, 101 entries
+
+
+def test_trace_gives_back_none_and_nan_as_recorded():
+    entries = [
+        IterationRecord(
+            k=0, x=None, f=1.5, stationarity=0.25, max_g=-1.0, t=math.nan,
+            fallback=True, eta=1.0, grad_dot_d=-0.5, f_ref=1.5,
+        ),
+        IterationRecord(
+            k=1, x=None, f=math.nan, stationarity=0.0, max_g=0.0, adaptive=True,
+            beta_used=math.nan, eps=0.1, straight_line=True,
+        ),
+    ]
+    trace = Trace(entries)
+    assert len(trace) == 2
+    assert math.isnan(trace[0].t) and trace[1].t is None
+    assert trace[0].beta_used is None and math.isnan(trace[1].beta_used)
+    for i in (0, 1, -1, -2):
+        assert repr(trace[i]) == repr(entries[i])
+    assert [repr(e) for e in trace] == [repr(e) for e in entries]
+    assert [repr(e) for e in trace[::-1]] == [repr(e) for e in entries[::-1]]
+    assert [repr(e) for e in trace[1:]] == [repr(entries[1])]
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            trace[i]
+    # each entry is a fresh copy, so writing into it changes nothing
+    trace[0].f = 0.0
+    assert trace[0].f == 1.5
+    assert len(Trace([])) == 0 and list(Trace([])) == []
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize(
+    "cfg", [SolverConfig(), SolverConfig(beta0=0, eta_max=1000)], ids=["default", "int-values"]
+)
+@pytest.mark.parametrize("mode", (True, "vectors"))
+def test_trace_rebuilds_every_filled_entry(solver, cfg, mode, monkeypatch):
+    # chnrosnb4 on the box takes fallback, adaptive-momentum and plain
+    # momentum steps under scs
+    filled = []
+
+    def keep(entries):
+        filled.extend(entries)
+        return Trace(entries)
+
+    monkeypatch.setattr(solvers, "Trace", keep)
+    rec = solve(solver, get_problem("chnrosnb4"), make_set("box", 4), cfg, record_trace=mode)
+    assert isinstance(rec.trace, Trace)
+    assert len(rec.trace) == len(filled) > 1
+    for got, want in zip(rec.trace, filled):
+        assert got is not want
+        for name in SCALAR_FIELDS:
+            assert repr(getattr(got, name)) == repr(getattr(want, name))
+        for name in VECTOR_FIELDS:
+            assert getattr(got, name) is getattr(want, name)
+
+
+def test_vector_traces_come_back_whole_from_worker_processes():
+    # chnrosnb4 and beale2 on the box take fallback and momentum steps
+    plan = BenchPlan(
+        problems=("beale2", "chnrosnb4"), sets=("box",), solvers=(("scs", 0), ("spg", 0))
+    )
+    serial = run_plan(plan, record_trace="vectors")
+    pooled = run_plan(plan, jobs=2, record_trace="vectors")
+    assert len(serial) == len(pooled) == 4
+    fallbacks, plain = [], []
+    for a, b in zip(serial, pooled):
+        assert isinstance(b.trace, Trace)
+        assert len(a.trace) == len(b.trace) > 1
+        for x, y in zip(a.trace, b.trace):
+            for name in SCALAR_FIELDS:
+                assert repr(getattr(x, name)) == repr(getattr(y, name))
+            for name in VECTOR_FIELDS:
+                u, v = getattr(x, name), getattr(y, name)
+                assert (u is None and v is None) or u.tobytes() == v.tobytes()
+        if b.solver_name == "scs":
+            steps = [r for r in b.trace if r.t is not None]
+            fallbacks += [r for r in steps if r.fallback]
+            plain += [r for r in steps if not r.fallback and not r.adaptive]
+    assert fallbacks and plain
+    assert all(r.s is r.d for r in fallbacks)
+    assert all(r.s is r.s_candidate for r in plain)
 
 
 def test_scs_reaches_every_building_block_through_the_module(monkeypatch):
