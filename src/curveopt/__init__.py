@@ -1,12 +1,6 @@
 """Constrained optimization via heavy-ball curve search and spectral projected gradient."""
 
-from .curves import (
-    CurveDecision,
-    HullCoefficients,
-    QuadraticCurve,
-    feasibility_certificate,
-    hull_coefficients,
-)
+from .curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from .problems import SmoothProblem, check_gradient, get_problem, list_problems
 from .sets import (
     FEAS_TOL,
@@ -33,7 +27,6 @@ __all__ = [
     "ConvexFeasibleSet",
     "CurveDecision",
     "FEAS_TOL",
-    "HullCoefficients",
     "QuadraticCurve",
     "RunRecord",
     "SOLVERS",
@@ -45,7 +38,6 @@ __all__ = [
     "curve_search",
     "feasibility_certificate",
     "get_problem",
-    "hull_coefficients",
     "list_problems",
     "make_box",
     "make_composite",

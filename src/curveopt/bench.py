@@ -12,6 +12,7 @@ import concurrent.futures
 import csv
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields
 
@@ -70,8 +71,13 @@ class BenchPlan:
     def validate(self) -> None:
         if not self.problems or not self.sets or not self.solvers:
             raise PlanError("plan needs at least one problem, set and solver")
-        if self.seed < 0:
-            raise PlanError(f"seed must be nonnegative, not {self.seed}")
+        # checked here, not by make_ellipsoid in each ell run, which sees seed + n
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise PlanError(f"seed must be an integer, not {self.seed!r}") from None
+        if seed < 0:
+            raise PlanError(f"seed must be nonnegative, not {seed}")
         # a repeated entry repeats runs that a profile then counts once
         for kind, entries in (
             ("problem", self.problems),

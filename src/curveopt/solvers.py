@@ -3,10 +3,13 @@
 `solve` runs the iteration both methods share; a step strategy moves it.
 SCS backtracks along a quadratic curve that blends a projected-gradient
 primary direction with a heavy-ball secondary direction; the curve must stay
-feasible and satisfy a (possibly non-monotone) Armijo condition.  When its
-endpoint violates a constraint nearly active along the primary direction, or
-no momentum weight of the reduction keeps the endpoint feasible, the step
-falls back to the straight line, which is always feasible.  SPG, the
+feasible and satisfy a (possibly non-monotone) Armijo condition.  A curve
+whose endpoint is feasible lies wholly in the set, so one check of the
+endpoint settles most steps; the certificate and the momentum reduction run
+only when the endpoint is infeasible.  When it violates a constraint nearly
+active along the primary direction, or no momentum weight of the reduction
+keeps it feasible, the step falls back to the straight line, which is
+always feasible.  SPG, the
 spectral projected gradient baseline, backtracks along the straight line by
 quadratic interpolation.
 `SOLVERS` maps each solver name to its step strategy.
@@ -317,16 +320,27 @@ def curve_search(
     f_ref: float,
     grad_dot_d: float,
     cfg: SolverConfig,
+    end_feasible: bool = False,
 ) -> tuple[Vector, float, float]:
-    """Backtrack over t = delta^h to a feasible gamma(t) passing Armijo; return (gamma(t), f, t)."""
+    """Backtrack over t = delta^h to a feasible gamma(t) passing Armijo; return (gamma(t), f, t).
+
+    `end_feasible` says that the caller checked the endpoint c.p2: the whole
+    curve then lies in the set, so a trial is tested against Armijo first
+    and only the point that passes is checked against g.  That check still
+    rejects a point that rounding pushed past FEAS_TOL.  Either way the
+    accepted t is the first that passes both tests.
+    """
     t = 1.0
     for h in range(cfg.max_backtracks + 1):
         pt = c.eval(t)
-        if fset.max_violation(pt) <= FEAS_TOL:
+        if end_feasible or fset.max_violation(pt) <= FEAS_TOL:
             fv = p.f(pt)
             if fv <= f_ref + SIGMA * t * grad_dot_d:
-                return pt, fv, t
-            failed = "sufficient_decrease"
+                if not end_feasible or fset.max_violation(pt) <= FEAS_TOL:
+                    return pt, fv, t
+                failed = "feasibility"
+            else:
+                failed = "sufficient_decrease"
         else:
             failed = "feasibility"
         t *= DELTA
@@ -372,23 +386,32 @@ class _CurveStep:
 
         adaptive = False
         beta_k = self.beta
-        if not fallback:
+        # x and x + d are feasible, so the middle control point x + d/2 is too;
+        # once the endpoint x + s is feasible, every point of the curve is a
+        # convex combination of feasible points, which criteria c02 and c03
+        # check.  Such a curve is one the certificate accepts and whose weight
+        # the reduction keeps, by the same test of x + s, so neither runs.
+        end_feasible = not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL
+        if end_feasible:
+            adaptive = cfg.adaptive_momentum and proj_required
+        elif not fallback:
             decision = feasibility_certificate(curve, self.fset, T_TILDE, self.eps)
             fallback = decision is CurveDecision.FALL_BACK
-        if not fallback and cfg.adaptive_momentum and proj_required:
-            try:
-                s, beta_k = adaptive_momentum(
-                    curve, x_prev, self.fset, self.beta, eta, cfg.max_backtracks
-                )
-            except SearchFailureError:
-                # no weight on the budget's grid makes the momentum endpoint
-                # feasible; x + d is, so the straight line always remains
-                fallback = True
-            else:
-                adaptive = True
-                self.adaptive_reductions += beta_k < self.beta
+            if not fallback and cfg.adaptive_momentum and proj_required:
+                try:
+                    s, beta_k = adaptive_momentum(
+                        curve, x_prev, self.fset, self.beta, eta, cfg.max_backtracks
+                    )
+                except SearchFailureError:
+                    # no weight on the budget's grid makes the momentum endpoint
+                    # feasible; x + d is, so the straight line always remains
+                    fallback = True
+                else:
+                    adaptive = end_feasible = True
+                    self.adaptive_reductions += beta_k < self.beta
         if fallback:
             s = d
+            end_feasible = True
             self.fallbacks += 1
         if s is not s_candidate:
             curve = QuadraticCurve(x, d, s)
@@ -401,7 +424,9 @@ class _CurveStep:
             if rec.x is not None:  # a vector trace
                 rec.s = s
                 rec.s_candidate = s_candidate
-        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
+        x_next, f_next, t = curve_search(
+            self.p, self.fset, curve, f_ref, grad_dot_d, cfg, end_feasible
+        )
 
         if cfg.dynamic_beta:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / DELTA)

@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 from curveopt.bench import BenchPlan, performance_profile, run_plan
-from curveopt.curves import (
-    CurveDecision,
-    QuadraticCurve,
-    feasibility_certificate,
-    hull_coefficients,
-    reconstruct_from_hull,
-)
+from curve_geometry import hull_coefficients, p0, p1, reconstruct_from_hull
+from curveopt.curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from curveopt.problems import check_gradient, get_problem, list_problems
 from curveopt.sets import ConvexFeasibleSet, make_box, make_set, make_sphere
 from curveopt.solvers import (
@@ -121,7 +116,7 @@ def test_c03_feasible_endpoint_implies_feasible_curve(capsys):
         c = QuadraticCurve(
             rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 3)
         )
-        if max(g(c.p0), g(c.p1), g(c.p2)) > 0.0:
+        if max(g(p0(c)), g(p1(c)), g(c.p2)) > 0.0:
             continue
         checked += 1
         ok = ok and all(g(c.eval(t)) <= 1e-8 for t in grid)

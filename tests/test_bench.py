@@ -161,6 +161,8 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"M": 5}),
         BenchPlan(("beale2",), ("box", "ell"), (("scs", 0),), seed=-10),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"eta_max": math.inf}),
+        BenchPlan(("beale2",), ("ell", "box"), (("scs", 0),), seed=1.5),
+        BenchPlan(("beale2",), ("ell", "box"), (("scs", 0),), seed="3"),
     ],
 )
 def test_plan_validate_rejects(plan):

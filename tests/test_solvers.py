@@ -205,6 +205,21 @@ def test_curve_search_failure_payload():
     assert exc.value.last_trial == pytest.approx(0.5**60)
 
 
+def test_curve_search_checks_the_accepted_point_of_an_endpoint_feasible_curve():
+    # a curve wrongly flagged endpoint-feasible: t = 1 lands on [-1.5, 0],
+    # outside the box, and passes Armijo there; the check still rejects it
+    p = sum_of_squares(2)
+    b = make_box(2)
+    c = QuadraticCurve(np.array([0.5, 0.0]), np.array([-2.0, 0.0]), np.array([-2.0, 0.0]))
+    with pytest.raises(SearchFailureError) as exc:
+        curve_search(p, b, c, 10.0, -2.0, SolverConfig(max_backtracks=0), end_feasible=True)
+    assert exc.value.failed_condition == "feasibility"
+    assert exc.value.last_trial == 1.0
+    x, _, t = curve_search(p, b, c, 10.0, -2.0, SolverConfig(), end_feasible=True)
+    assert t == 0.5
+    assert np.array_equal(x, [-0.5, 0.0])
+
+
 def test_stationarity_measure_examples():
     b = make_box(2)
     p = SmoothProblem(
@@ -1029,3 +1044,37 @@ def test_scs_reaches_every_building_block_through_the_module(monkeypatch):
     rec = solve("scs", get_problem("chnrosnb4"), make_set("box", 4))
     assert rec.iterations > 1
     assert all(calls[name] > 0 for name in names), calls
+
+
+@pytest.mark.parametrize("problem, set_name", [("tridia1000", "box"), ("chnrosnb4", "ell")])
+def test_scs_checks_g_about_twice_per_iteration(problem, set_name):
+    # the momentum endpoint and the accepted point; the certificate and the
+    # reduction add their calls only on the few steps whose endpoint is
+    # infeasible
+    p = get_problem(problem)
+    fset = make_set(set_name, p.dim, ell_seed=p.dim)
+    calls = 0
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return fset.eval_g(x)
+
+    counted = dataclasses.replace(fset, eval_g=counting)
+    rec = solve("scs", p, counted, SolverConfig(max_iters=400))
+    assert rec.iterations > 100
+    assert calls / rec.iterations <= 2.5
+
+
+def test_feasible_momentum_endpoints_skip_the_certificate_and_the_reduction(monkeypatch):
+    # on this sphere every momentum endpoint is feasible, so the curve lies
+    # in the set and neither building block has anything to decide
+    def never(*args, **kwargs):
+        raise AssertionError("called on a feasible momentum endpoint")
+
+    monkeypatch.setattr(solvers, "feasibility_certificate", never)
+    monkeypatch.setattr(solvers, "adaptive_momentum", never)
+    rec = solve("scs", get_problem("quad_diag50"), make_set("sph", 50), SolverConfig(M=10))
+    assert rec.status == STATUS_STATIONARY
+    assert rec.iterations > 1
+    assert rec.fallbacks == 1  # the first step only
