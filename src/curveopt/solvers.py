@@ -9,9 +9,9 @@ endpoint settles most steps; the certificate and the momentum reduction run
 only when the endpoint is infeasible.  When it violates a constraint nearly
 active along the primary direction, or no momentum weight of the reduction
 keeps it feasible, the step falls back to the straight line, which is
-always feasible.  SPG, the
-spectral projected gradient baseline, backtracks along the straight line by
-quadratic interpolation.
+always feasible.  The curve search checks g only at the point it accepts.
+SPG, the spectral projected gradient baseline, backtracks along the straight
+line by quadratic interpolation.
 `SOLVERS` maps each solver name to its step strategy.
 """
 
@@ -320,34 +320,28 @@ def curve_search(
     f_ref: float,
     grad_dot_d: float,
     cfg: SolverConfig,
-    end_feasible: bool = False,
 ) -> tuple[Vector, float, float]:
     """Backtrack over t = delta^h to a feasible gamma(t) passing Armijo; return (gamma(t), f, t).
 
-    `end_feasible` says that the caller checked the endpoint c.p2: the whole
-    curve then lies in the set, so a trial is tested against Armijo first
-    and only the point that passes is checked against g.  That check still
-    rejects a point that rounding pushed past FEAS_TOL.  Either way the
-    accepted t is the first that passes both tests.
+    Each trial is tested against Armijo first, and only the point that passes
+    is checked against g, so the accepted t is the first that passes both
+    tests.  The SCS step hands over a curve whose endpoint is feasible, which
+    lies wholly in the set; the check still rejects a point that rounding or
+    a projection pushed past FEAS_TOL.  On exhaustion `failed_condition` is
+    "feasibility" when the last trial lies outside the set.
     """
     t = 1.0
     for h in range(cfg.max_backtracks + 1):
         pt = c.eval(t)
-        if end_feasible or fset.max_violation(pt) <= FEAS_TOL:
-            fv = p.f(pt)
-            if fv <= f_ref + SIGMA * t * grad_dot_d:
-                if not end_feasible or fset.max_violation(pt) <= FEAS_TOL:
-                    return pt, fv, t
-                failed = "feasibility"
-            else:
-                failed = "sufficient_decrease"
-        else:
-            failed = "feasibility"
+        fv = p.f(pt)
+        if fv <= f_ref + SIGMA * t * grad_dot_d and fset.max_violation(pt) <= FEAS_TOL:
+            return pt, fv, t
         t *= DELTA
+    feasible = fset.max_violation(pt) <= FEAS_TOL
     raise SearchFailureError(
         f"curve search exhausted {cfg.max_backtracks} backtracks",
         last_trial=t / DELTA,
-        failed_condition=failed,
+        failed_condition="sufficient_decrease" if feasible else "feasibility",
     )
 
 
@@ -391,8 +385,11 @@ class _CurveStep:
         # convex combination of feasible points, which criteria c02 and c03
         # check.  Such a curve is one the certificate accepts and whose weight
         # the reduction keeps, by the same test of x + s, so neither runs.
-        end_feasible = not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL
-        if end_feasible:
+        # On this path and on the straight line, nothing checks x + d: the
+        # projection is trusted to land in the set (the certificate, where it
+        # runs, raises ContractError when it does not), and curve_search's
+        # check of the accepted point is what keeps every iterate feasible.
+        if not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL:
             adaptive = cfg.adaptive_momentum and proj_required
         elif not fallback:
             decision = feasibility_certificate(curve, self.fset, T_TILDE, self.eps)
@@ -407,11 +404,10 @@ class _CurveStep:
                     # feasible; x + d is, so the straight line always remains
                     fallback = True
                 else:
-                    adaptive = end_feasible = True
+                    adaptive = True
                     self.adaptive_reductions += beta_k < self.beta
         if fallback:
             s = d
-            end_feasible = True
             self.fallbacks += 1
         if s is not s_candidate:
             curve = QuadraticCurve(x, d, s)
@@ -424,9 +420,7 @@ class _CurveStep:
             if rec.x is not None:  # a vector trace
                 rec.s = s
                 rec.s_candidate = s_candidate
-        x_next, f_next, t = curve_search(
-            self.p, self.fset, curve, f_ref, grad_dot_d, cfg, end_feasible
-        )
+        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
 
         if cfg.dynamic_beta:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / DELTA)

@@ -8,7 +8,7 @@ import pytest
 from curveopt import solvers
 from curveopt.bench import BenchPlan, run_plan
 from curveopt.curves import CurveDecision, QuadraticCurve, feasibility_certificate
-from curveopt.errors import SearchFailureError
+from curveopt.errors import ContractError, SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
 from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
@@ -205,19 +205,40 @@ def test_curve_search_failure_payload():
     assert exc.value.last_trial == pytest.approx(0.5**60)
 
 
-def test_curve_search_checks_the_accepted_point_of_an_endpoint_feasible_curve():
-    # a curve wrongly flagged endpoint-feasible: t = 1 lands on [-1.5, 0],
-    # outside the box, and passes Armijo there; the check still rejects it
+def test_curve_search_checks_the_accepted_point_against_g():
+    # t = 1 lands on [-1.5, 0], outside the box, and passes Armijo there;
+    # the check of the accepted point rejects it
     p = sum_of_squares(2)
     b = make_box(2)
     c = QuadraticCurve(np.array([0.5, 0.0]), np.array([-2.0, 0.0]), np.array([-2.0, 0.0]))
     with pytest.raises(SearchFailureError) as exc:
-        curve_search(p, b, c, 10.0, -2.0, SolverConfig(max_backtracks=0), end_feasible=True)
+        curve_search(p, b, c, 10.0, -2.0, SolverConfig(max_backtracks=0))
     assert exc.value.failed_condition == "feasibility"
     assert exc.value.last_trial == 1.0
-    x, _, t = curve_search(p, b, c, 10.0, -2.0, SolverConfig(), end_feasible=True)
+    x, _, t = curve_search(p, b, c, 10.0, -2.0, SolverConfig())
     assert t == 0.5
     assert np.array_equal(x, [-0.5, 0.0])
+    # a last trial failing both tests (f = 2.25 there) is named by feasibility
+    with pytest.raises(SearchFailureError) as exc:
+        curve_search(p, b, c, 0.25, -2.0, SolverConfig(max_backtracks=0))
+    assert exc.value.failed_condition == "feasibility"
+
+
+def test_scs_still_rejects_a_projection_that_leaves_the_set():
+    # the projection overshoots the box by 0.1 %; the first step's straight
+    # line keeps only a feasible point, and the next momentum endpoint is
+    # infeasible, so the certificate checks x + d and refuses it
+    p = SmoothProblem(
+        "shifted",
+        2,
+        lambda x: float(((x - 2.0) ** 2).sum()),
+        lambda x: 2.0 * (x - 2.0),
+        np.zeros(2),
+    )
+    box = make_box(2)
+    overshooting = dataclasses.replace(box, project=lambda z: 1.001 * box.project(z))
+    with pytest.raises(ContractError, match=r"x \+ d is infeasible"):
+        solve("scs", p, overshooting)
 
 
 def test_stationarity_measure_examples():
