@@ -260,8 +260,8 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
-    """Records of a v1 CSV; ValueError names the columns it lacks, or the
-    line of a row with fewer or more fields than the header."""
+    """Records of a v1 CSV; ValueError names the columns it lacks, the line of
+    a short or long row, or the line and column of a value that does not parse."""
     numbered = [
         (i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")
     ]
@@ -271,13 +271,18 @@ def records_from_csv(text: str) -> list[RunRecord]:
         raise ValueError(f"records CSV lacks columns {missing}")
     records = []
     for row in reader:
+        line = numbered[reader.line_num - 1][0]
         if None in row or None in row.values():  # DictReader's marks of a long or short row
-            line = numbered[reader.line_num - 1][0]
             width = len(reader.fieldnames)
             raise ValueError(f"records CSV line {line} does not have the header's {width} fields")
-        records.append(
-            RunRecord(**{name: kind(row[column]) for column, name, kind in _CSV_FIELDS})
-        )
+        values = {}
+        for column, name, kind in _CSV_FIELDS:
+            try:
+                values[name] = kind(row[column])
+            except ValueError:
+                bad = f"column {column}: {row[column]!r} is not a valid {kind.__name__}"
+                raise ValueError(f"records CSV line {line}, {bad}") from None
+        records.append(RunRecord(**values))
     return records
 
 

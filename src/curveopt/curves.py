@@ -3,8 +3,10 @@
 A curve is stored as (x, d, s): base point, primary direction and secondary
 direction.  In monomial form it is x + t d + t^2 (s - d); the equivalent
 Bernstein form has control points P0 = x, P1 = x + d/2, P2 = x + s, so
-gamma(t) lies in their convex hull for every t in [0, 1].  When s = d the
-quadratic term vanishes exactly and the curve is the straight line x + t d.
+gamma(t) lies in their convex hull for every t in [0, 1], and s = d gives
+the straight line x + t d exactly.  The SCS step hands only an infeasible P2
+to `feasibility_certificate` and the momentum reduction, which then tries
+smaller weights only.
 """
 
 from __future__ import annotations

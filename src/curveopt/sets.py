@@ -73,20 +73,16 @@ def _dimension(n) -> int:
 
 def make_sphere(n: int) -> ConvexFeasibleSet:
     n = _dimension(n)
-    c = np.zeros(n)
     radius = 10.0
-    r2 = radius * radius
 
     def g(x):
-        d = x - c
-        return np.array([float(d.dot(d)) - r2])
+        return np.array([float(x.dot(x)) - 100.0])
 
     def project(x):
-        d = x - c
-        nrm = math.sqrt(d.dot(d))
+        nrm = math.sqrt(np.dot(x, x))
         if nrm <= radius:
             return np.array(x, dtype=float)
-        return c + (radius / nrm) * d
+        return (radius / nrm) * np.asarray(x)
 
     return ConvexFeasibleSet("sph", n, g, project)
 

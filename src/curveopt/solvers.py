@@ -2,14 +2,14 @@
 
 `solve` runs the iteration both methods share; a step strategy moves it.
 SCS backtracks along a quadratic curve that blends a projected-gradient
-primary direction with a heavy-ball secondary direction; the curve must stay
-feasible and satisfy a (possibly non-monotone) Armijo condition.  A curve
+primary direction with a heavy-ball secondary direction, to a feasible point
+that passes a (possibly non-monotone) Armijo condition.  A curve
 whose endpoint is feasible lies wholly in the set, so one check of the
-endpoint settles most steps; the certificate and the momentum reduction run
-only when the endpoint is infeasible.  When it violates a constraint nearly
-active along the primary direction, or no momentum weight of the reduction
-keeps it feasible, the step falls back to the straight line, which is
-always feasible.  The curve search checks g only at the point it accepts.
+endpoint settles most steps; only an infeasible endpoint goes to the
+certificate and to the momentum reduction, which tries smaller weights.  When
+it violates a constraint nearly active along the primary direction, or no
+smaller weight makes it feasible, the step falls back to the straight line,
+which is always feasible.  The curve search checks g only where it accepts.
 SPG, the spectral projected gradient baseline, backtracks along the straight
 line by quadratic interpolation.
 `SOLVERS` maps each solver name to its step strategy.
@@ -291,24 +291,22 @@ def adaptive_momentum(
 ) -> tuple[Vector, float]:
     """Geometrically shrink the momentum weight until the endpoint is feasible.
 
-    `c` is the momentum curve of weight beta, and c.s the first trial.
-    Returns (s, beta_k) with beta_k the largest DELTA^h * beta making c.x + s
-    feasible for s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta),
-    and `s is c.s` when beta_k = beta; raises SearchFailureError when no
-    h <= max_backtracks does: with eta near a wide window's eta_max the
-    momentum term can outlast every halving.  The SCS step then falls back
-    to the straight line.
+    `c` is the momentum curve of weight beta, whose endpoint c.x + c.s the SCS
+    step found infeasible.  Returns (s, beta_k) with beta_k the largest
+    DELTA^h * beta, 1 <= h <= max_backtracks, that makes c.x + s feasible,
+    s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta).  Raises
+    SearchFailureError when none does, at once if max_backtracks is 0; near a
+    wide window's eta_max the momentum term can outlast every halving.
     """
-    s, beta_k = c.s, beta
-    for h in range(max_backtracks + 1):
-        if h:
-            s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta)
+    beta_k = beta
+    for _ in range(max_backtracks):
+        beta_k *= DELTA
+        s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta)
         if fset.max_violation(c.x + s) <= FEAS_TOL:
             return s, beta_k
-        beta_k *= DELTA
     raise SearchFailureError(
         "momentum reduction exhausted its budget",
-        last_trial=beta_k / DELTA,
+        last_trial=beta_k,
         failed_condition="feasibility",
     )
 
@@ -323,12 +321,12 @@ def curve_search(
 ) -> tuple[Vector, float, float]:
     """Backtrack over t = delta^h to a feasible gamma(t) passing Armijo; return (gamma(t), f, t).
 
-    Each trial is tested against Armijo first, and only the point that passes
-    is checked against g, so the accepted t is the first that passes both
-    tests.  The SCS step hands over a curve whose endpoint is feasible, which
-    lies wholly in the set; the check still rejects a point that rounding or
-    a projection pushed past FEAS_TOL.  On exhaustion `failed_condition` is
-    "feasibility" when the last trial lies outside the set.
+    Each trial is tested against Armijo first and only a point that passes is
+    checked against g, so the accepted t is the first that passes both.  An
+    SCS curve leaves the set only when the certificate accepts an infeasible
+    endpoint and no reduction runs (`adaptive_momentum` off, or an inactive
+    projection).  On exhaustion `failed_condition` is "feasibility" when the
+    last trial lies outside the set.
     """
     t = 1.0
     for h in range(cfg.max_backtracks + 1):
@@ -382,13 +380,11 @@ class _CurveStep:
         beta_k = self.beta
         # x and x + d are feasible, so the middle control point x + d/2 is too;
         # once the endpoint x + s is feasible, every point of the curve is a
-        # convex combination of feasible points, which criteria c02 and c03
-        # check.  Such a curve is one the certificate accepts and whose weight
-        # the reduction keeps, by the same test of x + s, so neither runs.
-        # On this path and on the straight line, nothing checks x + d: the
-        # projection is trusted to land in the set (the certificate, where it
-        # runs, raises ContractError when it does not), and curve_search's
-        # check of the accepted point is what keeps every iterate feasible.
+        # convex combination of feasible points (criteria c02 and c03), and
+        # neither the certificate nor the reduction is needed.  Here and on
+        # the straight line nothing checks x + d: the projection is trusted
+        # (the certificate, where it runs, raises ContractError if it is not),
+        # and the search's check of the accepted point keeps iterates feasible.
         if not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL:
             adaptive = cfg.adaptive_momentum and proj_required
         elif not fallback:

@@ -5,10 +5,13 @@ The library's curve holds only what an SCS step uses: `eval`, the endpoint
 Bezier curve with control points P0 = x, P1 = x + d/2 and P2 = x + s, and
 give the convex combination behind its hull property: once P0, P1 and P2
 are feasible, so is every point of the curve, which is what lets the SCS
-step skip the certificate when its endpoint is feasible.
+step skip the certificate when its endpoint is feasible.  `halfspace_x1`
+is the half-plane the curve and solver tests share.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from curveopt.curves import QuadraticCurve
 from curveopt.errors import ContractError, DomainError
@@ -80,3 +83,17 @@ def infeasibility_propagates(
     if fset.g(p0(c))[i] > FEAS_TOL or fset.g(p1(c))[i] > FEAS_TOL:
         raise ContractError("P0 and P1 must be feasible for constraint i")
     return bool(fset.g(c.eval(t_hat))[i] > 0.0)
+
+
+def halfspace_x1(n=2):
+    """Test-only set {x : x^1 <= 0} with closed-form projection."""
+
+    def g(x):
+        return np.array([x[0]])
+
+    def project(x):
+        out = np.array(x, dtype=float)
+        out[0] = min(out[0], 0.0)
+        return out
+
+    return ConvexFeasibleSet("half", n, g, project)

@@ -1,0 +1,45 @@
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "ab_compare.py"
+
+
+def ab_compare(parent, change):
+    """tools/ab_compare.py on the exact workload cut to rosenbrock2, 2 rounds."""
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload", "exact",
+         "--problems", "rosenbrock2", "--rounds", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_a_checkout_against_itself():
+    res = ab_compare(ROOT, ROOT)
+    assert res.returncode == 0, res.stderr
+    header, median, fastest, faster = res.stdout.splitlines()
+    assert header == "# workload exact, 12 runs, 2 rounds, seed 0"
+    assert median.startswith("pass_median_s parent ")
+    assert fastest.startswith("fastest_elapsed_s parent ")
+    assert faster in {f"change_faster {n} of 2" for n in range(3)}
+
+
+def test_a_run_that_ends_otherwise_fails_the_comparison(tmp_path):
+    # a copy of the library whose runs stop one iteration before max_iters
+    src = tmp_path / "src" / "curveopt"
+    shutil.copytree(ROOT / "src" / "curveopt", src, ignore=shutil.ignore_patterns("__pycache__"))
+    solvers = src / "solvers.py"
+    text = solvers.read_text()
+    assert text.count("if k >= cfg.max_iters:") == 1
+    solvers.write_text(text.replace("if k >= cfg.max_iters:", "if k >= cfg.max_iters - 1:"))
+    res = ab_compare(tmp_path, ROOT)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("round 0, parent: run ('rosenbrock2', ")
+    assert res.stderr.rstrip().endswith(
+        "ended ('iter_limit', 399), in the first pass ('iter_limit', 400)"
+    )

@@ -311,6 +311,24 @@ def test_records_from_csv_names_the_line_of_a_row_of_the_wrong_width(edit):
         records_from_csv(text)
 
 
+def replace_cell(column, value):
+    """An edit for `cut_last_row` that writes `value` into `column`."""
+    i = CSV_COLUMNS.index(column)
+    return lambda f: f[:i] + [value] + f[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "column, value, kind", (("iterations", "five", "int"), ("f_star", "low", "float"))
+)
+def test_records_from_csv_names_the_line_and_column_of_a_value_that_does_not_parse(
+    column, value, kind
+):
+    text = cut_last_row(records_to_csv([mk(), mk(problem="q")]), replace_cell(column, value))
+    message = rf"^records CSV line 4, column {column}: '{value}' is not a valid {kind}$"
+    with pytest.raises(ValueError, match=message):
+        records_from_csv(text)
+
+
 # ---------------------------------------------------------------------------
 # performance profiles
 
@@ -627,6 +645,16 @@ def test_cli_profile_rejects_a_truncated_records_file(tmp_path):
     assert res.output.splitlines()[-1] == (
         "Error: Invalid value for '--records': "
         "records CSV line 3 does not have the header's 13 fields"
+    )
+
+
+def test_cli_profile_names_the_cell_of_a_value_that_does_not_parse(tmp_path):
+    text = cut_last_row(records_to_csv([mk()]), replace_cell("iterations", "five"))
+    res = records_cli(tmp_path, "profile", text)
+    assert res.exit_code == 2, res.output
+    assert res.output.splitlines()[-1] == (
+        "Error: Invalid value for '--records': "
+        "records CSV line 3, column iterations: 'five' is not a valid int"
     )
 
 

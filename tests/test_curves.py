@@ -3,6 +3,7 @@ import pytest
 
 from curve_geometry import (
     eval_bernstein,
+    halfspace_x1,
     hull_coefficients,
     infeasibility_propagates,
     p0,
@@ -20,20 +21,6 @@ from curveopt.sets import (
     make_set,
     make_sphere,
 )
-
-
-def halfspace_x1(n=2):
-    """Test-only set {x : x^1 <= 0} with closed-form projection."""
-
-    def g(x):
-        return np.array([x[0]])
-
-    def project(x):
-        out = np.array(x, dtype=float)
-        out[0] = min(out[0], 0.0)
-        return out
-
-    return ConvexFeasibleSet("half", n, g, project)
 
 
 def linear_set(normals, offsets):

@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -49,6 +50,44 @@ def test_sphere_boundary_point_fixed():
     x = np.array([6.0, 8.0])
     assert np.array_equal(s.project(x), x)
     assert s.g(x)[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def centred_sphere(n):
+    """g and project of the radius-10 ball written about an explicit centre
+    c = 0, the reference for make_sphere's formulas in x alone."""
+    c = np.zeros(n)
+    radius = 10.0
+
+    def g(x):
+        d = x - c
+        return np.array([float(d.dot(d)) - radius * radius])
+
+    def project(x):
+        d = x - c
+        nrm = math.sqrt(d.dot(d))
+        if nrm <= radius:
+            return np.array(x, dtype=float)
+        return c + (radius / nrm) * d
+
+    return g, project
+
+
+@pytest.mark.parametrize("n", (1, 2, 50))
+def test_sphere_matches_the_centred_formulas(n):
+    s = make_sphere(n)
+    g, project = centred_sphere(n)
+    rng = np.random.default_rng(n)
+    on_ball = [10.0 * np.eye(n)[0], -10.0 * np.eye(n)[-1], np.full(n, 10.0 / math.sqrt(n))]
+    points = on_ball + [np.zeros(n), np.full(n, -0.0)]
+    for norm in (0.5, 9.999, 10.0, 10.001, 1e3, 1e150, 1e200):  # 1e200 overflows x'x
+        for _ in range(10):
+            u = rng.standard_normal(n)
+            points.append(norm * u / np.linalg.norm(u))
+    with np.errstate(over="ignore"):
+        for x in points:
+            assert np.array_equal(s.g(x), g(x))
+            assert np.array_equal(s.project(x), project(x))
+            assert np.array_equal(s.project(x.tolist()), project(x.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from curve_geometry import halfspace_x1
 from curveopt import solvers
 from curveopt.bench import BenchPlan, run_plan
 from curveopt.curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from curveopt.errors import ContractError, SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
-from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
+from curveopt.sets import FEAS_TOL, make_box, make_set
 from curveopt.solvers import (
     DELTA,
     ETA0,
@@ -50,18 +51,6 @@ def steep1():
         lambda x: np.array([4.0 * x[0]]),
         np.array([1.0]),
     )
-
-
-def halfspace_x1(n=2):
-    def g(x):
-        return np.array([x[0]])
-
-    def project(x):
-        out = np.array(x, dtype=float)
-        out[0] = min(out[0], 0.0)
-        return out
-
-    return ConvexFeasibleSet("half", n, g, project)
 
 
 def spg_direction(p, fset, x, eta):
@@ -142,16 +131,49 @@ def test_adaptive_momentum_worked_reduction():
     assert b.max_violation(bigger) > FEAS_TOL
 
 
-def test_adaptive_momentum_no_reduction_needed():
-    b = make_box(2)
-    c = momentum_curve(d=[-0.1, 0.0], x=[0.0, 0.0], x_prev=[0.0, 0.0], beta=0.9, eta=1.0)
-    s, beta_k = adaptive_momentum(
-        c=c, x_prev=np.zeros(2), fset=b, beta=0.9, eta=1.0, max_backtracks=60
+def recording_set(fset, points):
+    """`fset` whose g logs every point it is asked about in `points`."""
+
+    def eval_g(x):
+        points.append(np.array(x))
+        return fset.eval_g(x)
+
+    return dataclasses.replace(fset, eval_g=eval_g)
+
+
+def test_adaptive_momentum_without_budget_raises_before_any_g_call():
+    # the SCS step calls the reduction only once the endpoint of weight beta
+    # is infeasible, so a budget of no halvings leaves nothing to try
+    points = []
+    with pytest.raises(SearchFailureError) as exc:
+        adaptive_momentum(
+            c=momentum_curve(d=[-0.05, 0.02], x=[1.0, 0.0], x_prev=[0.9, -0.5], beta=0.9, eta=2.5),
+            x_prev=np.array([0.9, -0.5]),
+            fset=recording_set(make_box(2), points),
+            beta=0.9,
+            eta=2.5,
+            max_backtracks=0,
+        )
+    assert exc.value.failed_condition == "feasibility"
+    assert exc.value.last_trial == 0.9
+    assert points == []
+
+
+def test_adaptive_momentum_first_tries_delta_times_beta():
+    x, d, x_prev = np.array([1.0, 0.0]), np.array([-0.05, 0.02]), np.array([0.9, -0.5])
+    points = []
+    _, beta_k = adaptive_momentum(
+        c=momentum_curve(d, x, x_prev, beta=0.9, eta=2.5),
+        x_prev=x_prev,
+        fset=recording_set(make_box(2), points),
+        beta=0.9,
+        eta=2.5,
+        max_backtracks=60,
     )
-    assert beta_k == 0.9
-    assert np.allclose(s, [-0.0999, 0.0])
-    # a kept weight hands back the curve's own direction
-    assert s is c.s
+    assert np.array_equal(points[0], x + build_secondary_direction(d, x, x_prev, DELTA * 0.9, 2.5))
+    # the worked reduction's three halvings, one g call each
+    assert len(points) == 3
+    assert beta_k == 0.9 * DELTA**3
 
 
 def test_adaptive_momentum_budget_exhausted():

@@ -1,0 +1,152 @@
+"""Time two checkouts of curveopt against each other in one process.
+
+    python3 tools/ab_compare.py PARENT CHANGE --workload exact --rounds 30
+    python3 tools/ab_compare.py PARENT CHANGE --workload com --problems wood4,powell20
+
+Loads `src/curveopt` of both checkouts into this process, as the packages
+`curveopt_parent` and `curveopt_change`, and runs the plan of one workload
+of the change's `deskbench/harness.py` through each of them in turn: the
+change first in even rounds, the parent first in odd ones.  Round 0 warms
+both sides up and is not timed.  A pass is what `deskbench` times:
+`run_plan`, the records CSV round trip and the profiles on `time` and
+`iters`.  `--problems` keeps only the named problems of the workload.
+
+Both sides share one process, so a slowdown of the machine that lasts
+seconds to minutes hits their passes alike, where between two `deskbench`
+processes it reads as a difference.  The tool prints, for the parent and
+the change and as the change's ratio to the parent,
+
+- `pass_median_s`: the median wall time of a pass,
+- `fastest_elapsed_s`: the sum over runs of each run's fastest `elapsed`,
+
+and `change_faster`, the number of rounds whose change pass was the
+faster.  It exits 1, at the first pass that differs, unless every run of
+every pass ends in the status and iteration count of the first pass.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib
+import importlib.util
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def load_package(checkout: Path, name: str):
+    """The checkout's `src/curveopt`, imported as the package `name`."""
+    init = checkout / "src" / "curveopt" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.bench")
+    return package
+
+
+def load_harness(checkout: Path):
+    """The checkout's `deskbench/harness.py`, which imports its own curveopt."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "deskbench")]
+    return importlib.import_module("harness")
+
+
+def run_pass(bench, plan, record_trace: bool, tau_grid):
+    """One deskbench pass through `bench`; (wall seconds, {run key: record})."""
+    t0 = time.perf_counter()
+    records = bench.run_plan(plan, record_trace=record_trace)
+    loaded = bench.records_from_csv(bench.records_to_csv(records))
+    for metric in ("time", "iters"):
+        bench.performance_profile(loaded, metric, tau_grid)
+    wall = time.perf_counter() - t0
+    return wall, {(r.problem_name, r.set_name, r.solver_name, r.M): r for r in records}
+
+
+def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
+    """Alternating passes of both sides; the timings, or the first mismatch."""
+    plans = {}
+    for side, package in packages.items():
+        plan = workload.plan(seed)
+        fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+        plans[side] = package.bench.BenchPlan(**fields)
+    walls = {side: [] for side in SIDES}
+    fastest = {side: {} for side in SIDES}
+    reference = None
+    for i in range(rounds + 1):
+        for side in SIDES if i % 2 else SIDES[::-1]:
+            wall, runs = run_pass(
+                packages[side].bench, plans[side], workload.record_trace, harness.TAU_GRID
+            )
+            outcome = {key: (r.status, r.iterations) for key, r in runs.items()}
+            if reference is None:
+                reference = outcome
+            if outcome != reference:
+                keys = reference.keys() | outcome.keys()
+                key = min(k for k in keys if reference.get(k) != outcome.get(k))
+                return {"mismatch": (i, side, key, reference.get(key), outcome.get(key))}
+            if i == 0:
+                continue
+            walls[side].append(wall)
+            for key, r in runs.items():
+                fastest[side][key] = min(r.elapsed, fastest[side].get(key, math.inf))
+    return {
+        "runs": len(reference),
+        "pass_median_s": {side: statistics.median(walls[side]) for side in SIDES},
+        "fastest_elapsed_s": {side: sum(fastest[side].values()) for side in SIDES},
+        "change_faster": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout holding src/curveopt")
+    ap.add_argument("change", type=Path, help="checkout holding src/curveopt and deskbench")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--problems", default=None, help="comma-separated subset of the workload")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+
+    harness = load_harness(args.change.resolve())
+    if args.workload not in harness.WORKLOADS:
+        ap.error(f"unknown workload {args.workload!r}; known: {', '.join(harness.WORKLOADS)}")
+    workload = harness.WORKLOADS[args.workload]
+    if args.problems:
+        problems = tuple(args.problems.split(","))
+        unknown = sorted(set(problems) - set(workload.problems))
+        if unknown:
+            ap.error(f"problems not in workload {args.workload}: {', '.join(unknown)}")
+        workload = dataclasses.replace(workload, problems=problems)
+    packages = {
+        side: load_package(path.resolve(), f"curveopt_{side}")
+        for side, path in zip(SIDES, (args.parent, args.change))
+    }
+
+    result = compare(packages, harness, workload, args.seed, args.rounds)
+    if "mismatch" in result:
+        i, side, key, expected, got = result["mismatch"]
+        print(
+            f"round {i}, {side}: run {key} ended {got}, in the first pass {expected}",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"# workload {args.workload}, {result['runs']} runs, {args.rounds} rounds, "
+          f"seed {args.seed}")
+    for metric in ("pass_median_s", "fastest_elapsed_s"):
+        parent, change = (result[metric][side] for side in SIDES)
+        print(f"{metric} parent {parent:.4f} change {change:.4f} ratio {change / parent:.3f}")
+    print(f"change_faster {result['change_faster']} of {args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
