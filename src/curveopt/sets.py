@@ -62,7 +62,7 @@ def _dimension(n) -> int:
         dim = operator.index(n)
     except TypeError:
         raise ValueError(f"n must be a positive integer, not {n!r}") from None
-    if dim < 1:
+    if dim < 1 or isinstance(n, bool):
         raise ValueError(f"n must be a positive integer, not {n!r}")
     return dim
 

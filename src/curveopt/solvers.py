@@ -51,12 +51,15 @@ EPS0 = 0.1
 EPS_DECAY = 0.95
 #: spectral steplength of the first iteration
 ETA0 = 1.0
+#: backtracks each search and the momentum reduction may make, a safeguard
+MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """The settings a caller may vary; every other constant of the method is
-    a module constant: DELTA, SIGMA, ALPHA, T_TILDE, EPS0, EPS_DECAY, ETA0."""
+    a module constant: DELTA, SIGMA, ALPHA, T_TILDE, EPS0, EPS_DECAY, ETA0,
+    MAX_BACKTRACKS."""
 
     beta0: float = 0.9          # initial momentum weight
     M: int = 0                  # non-monotone memory (0 = monotone)
@@ -65,20 +68,19 @@ class SolverConfig:
     stat_tol: float = 1e-3
     max_iters: int = 5000
     time_limit: float = 120.0   # seconds
-    max_backtracks: int = 60
     adaptive_momentum: bool = True
     dynamic_beta: bool = True
 
     def __post_init__(self):
-        for name in ("M", "max_iters", "max_backtracks"):
+        for name in ("M", "max_iters"):
             value = getattr(self, name)
             try:
-                value = int(operator.index(value))
+                count = int(operator.index(value))
             except TypeError:
-                raise ValueError(f"{name} must be an integer, not {value!r}") from None
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, value)
+                count = -1
+            if count < 0 or isinstance(value, bool):  # True is an int, but no count
+                raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
+            object.__setattr__(self, name, count)
         for name in ("adaptive_momentum", "dynamic_beta"):
             if not isinstance(value := getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be True or False, not {value!r}")
@@ -287,19 +289,18 @@ def adaptive_momentum(
     fset: ConvexFeasibleSet,
     beta: float,
     eta: float,
-    max_backtracks: int,
 ) -> tuple[Vector, float]:
     """Geometrically shrink the momentum weight until the endpoint is feasible.
 
     `c` is the momentum curve of weight beta, whose endpoint c.x + c.s the SCS
     step found infeasible.  Returns (s, beta_k) with beta_k the largest
-    DELTA^h * beta, 1 <= h <= max_backtracks, that makes c.x + s feasible,
+    DELTA^h * beta, 1 <= h <= MAX_BACKTRACKS, that makes c.x + s feasible,
     s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta).  Raises
-    SearchFailureError when none does, at once if max_backtracks is 0; near a
+    SearchFailureError when none does, at once if MAX_BACKTRACKS is 0; near a
     wide window's eta_max the momentum term can outlast every halving.
     """
     beta_k = beta
-    for _ in range(max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         beta_k *= DELTA
         s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta)
         if fset.max_violation(c.x + s) <= FEAS_TOL:
@@ -317,9 +318,9 @@ def curve_search(
     c: QuadraticCurve,
     f_ref: float,
     grad_dot_d: float,
-    cfg: SolverConfig,
 ) -> tuple[Vector, float, float]:
-    """Backtrack over t = delta^h to a feasible gamma(t) passing Armijo; return (gamma(t), f, t).
+    """Backtrack over t = DELTA^h, 0 <= h <= MAX_BACKTRACKS, to a feasible
+    gamma(t) passing Armijo; return (gamma(t), f, t).
 
     Each trial is tested against Armijo first and only a point that passes is
     checked against g, so the accepted t is the first that passes both.  An
@@ -329,7 +330,7 @@ def curve_search(
     last trial lies outside the set.
     """
     t = 1.0
-    for h in range(cfg.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         pt = c.eval(t)
         fv = p.f(pt)
         if fv <= f_ref + SIGMA * t * grad_dot_d and fset.max_violation(pt) <= FEAS_TOL:
@@ -337,7 +338,7 @@ def curve_search(
         t *= DELTA
     feasible = fset.max_violation(pt) <= FEAS_TOL
     raise SearchFailureError(
-        f"curve search exhausted {cfg.max_backtracks} backtracks",
+        f"curve search exhausted {MAX_BACKTRACKS} backtracks",
         last_trial=t / DELTA,
         failed_condition="sufficient_decrease" if feasible else "feasibility",
     )
@@ -392,9 +393,7 @@ class _CurveStep:
             fallback = decision is CurveDecision.FALL_BACK
             if not fallback and cfg.adaptive_momentum and proj_required:
                 try:
-                    s, beta_k = adaptive_momentum(
-                        curve, x_prev, self.fset, self.beta, eta, cfg.max_backtracks
-                    )
+                    s, beta_k = adaptive_momentum(curve, x_prev, self.fset, self.beta, eta)
                 except SearchFailureError:
                     # no weight on the budget's grid makes the momentum endpoint
                     # feasible; x + d is, so the straight line always remains
@@ -416,7 +415,7 @@ class _CurveStep:
             if rec.x is not None:  # a vector trace
                 rec.s = s
                 rec.s_candidate = s_candidate
-        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d, cfg)
+        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d)
 
         if cfg.dynamic_beta:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / DELTA)
@@ -433,14 +432,12 @@ class _LineStep:
 
     def __init__(self, p: SmoothProblem, fset: ConvexFeasibleSet, cfg: SolverConfig):
         self.p = p
-        self.cfg = cfg
 
     def __call__(self, x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec):
-        cfg = self.cfg
         if rec is not None:
             rec.straight_line = True
         lam = 1.0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             xt = x + lam * d
             ft = self.p.f(xt)
             if ft <= f_ref + SIGMA * lam * grad_dot_d:
@@ -449,7 +446,7 @@ class _LineStep:
             lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
             tried, lam = lam, min(0.9 * lam, max(0.1 * lam, lam_new))
         raise SearchFailureError(
-            f"line search exhausted {cfg.max_backtracks} backtracks",
+            f"line search exhausted {MAX_BACKTRACKS} backtracks",
             last_trial=tried,
             failed_condition="sufficient_decrease",
         )

@@ -216,7 +216,6 @@ def test_c09_momentum_reduction_at_boundary(capsys):
         fset=b,
         beta=0.9,
         eta=2.5,
-        max_backtracks=60,
     )
     ok = beta_k > 0.0
     ok = ok and beta_k >= 0.9 * 0.5**60

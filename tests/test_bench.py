@@ -108,9 +108,11 @@ def test_parse_plan_rejects_bad_line():
 def test_parse_plan_rejects_unknown_key():
     with pytest.raises(PlanError):
         parse_plan("colour = blue")
-    # a constant of the method, not a SolverConfig field
+    # constants of the method, not SolverConfig fields
     with pytest.raises(PlanError, match="unknown key 'sigma'"):
         parse_plan("sigma = 1e-4")
+    with pytest.raises(PlanError, match="unknown key 'max_backtracks'"):
+        parse_plan("max_backtracks = 5")
 
 
 @pytest.mark.parametrize(

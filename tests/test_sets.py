@@ -198,7 +198,8 @@ def test_ellipsoid_rejects_bad_seed(seed, message):
 
 
 def test_uniform_matches_numpy_bitwise():
-    seeds = [*range(1101), 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+    # 2**128 + 5 has a fifth 32-bit word, past SeedSequence's pool of four
+    seeds = [*range(1101), 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128 + 5]
     for seed in seeds:
         for n in (0, 1, 2, 7, 1000):
             ours = np.array(_uniform(seed, 0.5, 2.0, n), dtype=float)
@@ -394,7 +395,7 @@ def test_constraint_convexity_witness(name):
         assert np.all(mid <= t * fset.g(x) + (1.0 - t) * fset.g(y) + 1e-10)
 
 
-@pytest.mark.parametrize("n", (0, -1, 2.5))
+@pytest.mark.parametrize("n", (0, -1, 2.5, True))
 @pytest.mark.parametrize("name", SET_NAMES)
 def test_builders_reject_a_dimension_that_is_not_a_positive_integer(name, n):
     with pytest.raises(ValueError, match=rf"^n must be a positive integer, not {n}$"):

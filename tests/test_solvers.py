@@ -116,7 +116,6 @@ def test_adaptive_momentum_worked_reduction():
         fset=b,
         beta=0.9,
         eta=2.5,
-        max_backtracks=60,
     )
     # three halvings: 0.9 * 0.5**3
     assert beta_k == pytest.approx(0.1125, abs=1e-15)
@@ -141,9 +140,10 @@ def recording_set(fset, points):
     return dataclasses.replace(fset, eval_g=eval_g)
 
 
-def test_adaptive_momentum_without_budget_raises_before_any_g_call():
+def test_adaptive_momentum_without_budget_raises_before_any_g_call(monkeypatch):
     # the SCS step calls the reduction only once the endpoint of weight beta
     # is infeasible, so a budget of no halvings leaves nothing to try
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
     points = []
     with pytest.raises(SearchFailureError) as exc:
         adaptive_momentum(
@@ -152,7 +152,6 @@ def test_adaptive_momentum_without_budget_raises_before_any_g_call():
             fset=recording_set(make_box(2), points),
             beta=0.9,
             eta=2.5,
-            max_backtracks=0,
         )
     assert exc.value.failed_condition == "feasibility"
     assert exc.value.last_trial == 0.9
@@ -168,7 +167,6 @@ def test_adaptive_momentum_first_tries_delta_times_beta():
         fset=recording_set(make_box(2), points),
         beta=0.9,
         eta=2.5,
-        max_backtracks=60,
     )
     assert np.array_equal(points[0], x + build_secondary_direction(d, x, x_prev, DELTA * 0.9, 2.5))
     # the worked reduction's three halvings, one g call each
@@ -176,8 +174,9 @@ def test_adaptive_momentum_first_tries_delta_times_beta():
     assert beta_k == 0.9 * DELTA**3
 
 
-def test_adaptive_momentum_budget_exhausted():
+def test_adaptive_momentum_budget_exhausted(monkeypatch):
     # endpoint stays infeasible for every momentum weight
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 5)
     b = make_box(1)
     with pytest.raises(SearchFailureError) as exc:
         adaptive_momentum(
@@ -186,7 +185,6 @@ def test_adaptive_momentum_budget_exhausted():
             fset=b,
             beta=0.9,
             eta=1.0,
-            max_backtracks=5,
         )
     assert exc.value.failed_condition == "feasibility"
     # the last weight tried, 0.9 * 0.5**5
@@ -199,7 +197,7 @@ def test_curve_search_worked_trace():
     p = sum_of_squares(2)
     b = make_box(2)
     c = QuadraticCurve(np.array([1.0, 0.0]), np.array([-2.0, 0.0]), np.array([-2.0, 0.0]))
-    x, f, t = curve_search(p, b, c, f_ref=1.0, grad_dot_d=-4.0, cfg=SolverConfig())
+    x, f, t = curve_search(p, b, c, f_ref=1.0, grad_dot_d=-4.0)
     assert t == 0.5
     assert np.allclose(x, [0.0, 0.0])
     assert f == 0.0
@@ -211,7 +209,7 @@ def test_curve_search_backtracks_on_infeasibility():
     x = np.array([0.5, 0.0])
     c = QuadraticCurve(x, np.array([-2.0, 0.0]), np.array([-2.0, 0.0]))
     # endpoint [-1.5, 0] leaves the box, t = 0.5 fails Armijo, t = 0.25 wins
-    x, _, t = curve_search(p, b, c, f_ref=0.25, grad_dot_d=-2.0, cfg=SolverConfig())
+    x, _, t = curve_search(p, b, c, f_ref=0.25, grad_dot_d=-2.0)
     assert t == 0.25
     assert np.allclose(x, [0.0, 0.0])
 
@@ -222,27 +220,28 @@ def test_curve_search_failure_payload():
     c = QuadraticCurve(np.array([0.5, 0.0]), np.array([0.1, 0.0]), np.array([0.1, 0.0]))
     # unreachable reference value: every trial fails sufficient decrease
     with pytest.raises(SearchFailureError) as exc:
-        curve_search(p, b, c, f_ref=-1.0, grad_dot_d=-0.1, cfg=SolverConfig())
+        curve_search(p, b, c, f_ref=-1.0, grad_dot_d=-0.1)
     assert exc.value.failed_condition == "sufficient_decrease"
     assert exc.value.last_trial == pytest.approx(0.5**60)
 
 
-def test_curve_search_checks_the_accepted_point_against_g():
+def test_curve_search_checks_the_accepted_point_against_g(monkeypatch):
     # t = 1 lands on [-1.5, 0], outside the box, and passes Armijo there;
     # the check of the accepted point rejects it
     p = sum_of_squares(2)
     b = make_box(2)
     c = QuadraticCurve(np.array([0.5, 0.0]), np.array([-2.0, 0.0]), np.array([-2.0, 0.0]))
-    with pytest.raises(SearchFailureError) as exc:
-        curve_search(p, b, c, 10.0, -2.0, SolverConfig(max_backtracks=0))
-    assert exc.value.failed_condition == "feasibility"
-    assert exc.value.last_trial == 1.0
-    x, _, t = curve_search(p, b, c, 10.0, -2.0, SolverConfig())
+    x, _, t = curve_search(p, b, c, 10.0, -2.0)
     assert t == 0.5
     assert np.array_equal(x, [-0.5, 0.0])
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
+    with pytest.raises(SearchFailureError) as exc:
+        curve_search(p, b, c, 10.0, -2.0)
+    assert exc.value.failed_condition == "feasibility"
+    assert exc.value.last_trial == 1.0
     # a last trial failing both tests (f = 2.25 there) is named by feasibility
     with pytest.raises(SearchFailureError) as exc:
-        curve_search(p, b, c, 0.25, -2.0, SolverConfig(max_backtracks=0))
+        curve_search(p, b, c, 0.25, -2.0)
     assert exc.value.failed_condition == "feasibility"
 
 
@@ -291,9 +290,7 @@ def test_stationarity_measure_examples():
         {"M": -1},
         {"max_iters": -3},
         {"time_limit": -1.0},
-        {"max_backtracks": -1},
         {"max_iters": math.nan},
-        {"max_backtracks": math.nan},
         {"M": math.nan},
         {"beta0": -0.5},
         {"beta0": 1.0},
@@ -307,7 +304,9 @@ def test_stationarity_measure_examples():
         {"M": 2.5},
         {"M": "3"},
         {"max_iters": 3.5},
-        {"max_backtracks": 2.5},
+        # True and False are ints to Python, but no counts
+        {"M": True},
+        {"max_iters": False},
         # a non-empty string, even "no", reads as true
         {"adaptive_momentum": "no"},
         {"adaptive_momentum": 0},
@@ -328,7 +327,7 @@ def test_config_stores_flags_as_bool(field):
     assert getattr(cfg, field) is False
 
 
-@pytest.mark.parametrize("field", ["M", "max_iters", "max_backtracks"])
+@pytest.mark.parametrize("field", ["M", "max_iters"])
 def test_config_stores_integer_fields_as_int(field):
     cfg = SolverConfig(**{field: np.int64(3)})
     assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
@@ -422,7 +421,7 @@ def test_non_finite_start_is_rejected_before_a_run(solver, set_name, where):
     "solver, problem, fset, iterations, f_star, detail",
     [
         # f = 2 x^2 from x = 1: the unit trial overshoots to -3 and fails
-        # Armijo, and max_backtracks = 0 leaves no second trial
+        # Armijo, and MAX_BACKTRACKS = 0 leaves no second trial
         pytest.param(
             "scs",
             steep1(),
@@ -445,21 +444,20 @@ def test_non_finite_start_is_rejected_before_a_run(solver, set_name, where):
         ),
     ],
 )
-def test_search_failure_ends_run(solver, problem, fset, iterations, f_star, detail):
-    rec = solve(solver, problem, fset, SolverConfig(max_backtracks=0))
+def test_search_failure_ends_run(solver, problem, fset, iterations, f_star, detail, monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
+    rec = solve(solver, problem, fset)
     assert rec.status == STATUS_SEARCH_FAILURE
     assert rec.iterations == iterations
     assert rec.f_star == f_star
     assert rec.detail == detail
 
 
-def test_failed_step_is_traced():
+def test_failed_step_is_traced(monkeypatch):
     # chnrosnb4 on the box without backtracks: step 5 falls back to the
     # line, whose search then fails; its entry still describes the step
-    rec = solve(
-        "scs", get_problem("chnrosnb4"), make_set("box", 4),
-        SolverConfig(max_backtracks=0), record_trace="vectors",
-    )
+    monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
+    rec = solve("scs", get_problem("chnrosnb4"), make_set("box", 4), record_trace="vectors")
     assert rec.status == STATUS_SEARCH_FAILURE and rec.iterations == 5
     assert rec.fallbacks == sum(e.fallback for e in rec.trace) == 3
     last = rec.trace[-1]
@@ -672,6 +670,38 @@ def test_scs_momentum_capped_by_beta0():
     assert max(used) <= 0.5
 
 
+def chnrosnb4_box_scs(**fields):
+    """The traced chnrosnb4/box scs:0 run under these config fields, and the
+    momentum weights its steps used."""
+    cfg = SolverConfig(**fields)
+    rec = solve("scs", get_problem("chnrosnb4"), make_set("box", 4), cfg, record_trace=True)
+    assert rec.status == STATUS_STATIONARY
+    return rec, [r.beta_used for r in rec.trace if r.beta_used is not None]
+
+
+def test_scs_reduces_the_momentum_weight_and_recovers_it():
+    # two steps reduce the weight 0.9 to 0.225, then to 0.05625; the next
+    # steps double it back, through 0.1125 and 0.45
+    rec, used = chnrosnb4_box_scs()
+    assert rec.iterations == 22 and rec.adaptive_reductions == 2
+    assert {0.1125, 0.45} <= set(used)
+
+
+def test_scs_without_adaptive_momentum_keeps_beta0():
+    rec, used = chnrosnb4_box_scs(adaptive_momentum=False)
+    assert rec.iterations == 21 and rec.adaptive_reductions == 0
+    assert not any(r.adaptive for r in rec.trace)
+    assert set(used) == {0.9}
+
+
+def test_scs_without_dynamic_beta_carries_no_weight_over():
+    # each step starts from beta0, so only a reduction within the step
+    # lowers the weight, and no step doubles a reduced one back
+    rec, used = chnrosnb4_box_scs(dynamic_beta=False)
+    assert rec.iterations == 27 and rec.adaptive_reductions == 2
+    assert set(used) <= {0.9, 0.225, 0.05625}
+
+
 def test_scs_eta_stays_in_bounds():
     p = get_problem("chnrosnb4")
     cfg = SolverConfig()
@@ -737,8 +767,7 @@ def replay_run(p, fset, cfg):
                 x_prev = rec.trace[r.k - 1].x
                 with pytest.raises(SearchFailureError):
                     adaptive_momentum(
-                        QuadraticCurve(r.x, r.d, r.s_candidate),
-                        x_prev, fset, r.beta_used, r.eta, cfg.max_backtracks,
+                        QuadraticCurve(r.x, r.d, r.s_candidate), x_prev, fset, r.beta_used, r.eta
                     )
             else:
                 expect = CurveDecision.FALL_BACK if r.fallback else CurveDecision.CURVE_OK
