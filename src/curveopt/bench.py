@@ -12,11 +12,10 @@ import concurrent.futures
 import csv
 import io
 import math
-import operator
 import time
 from dataclasses import dataclass, field, fields
 
-from .errors import EmptyProfileError, PlanError
+from .errors import EmptyProfileError, PlanError, as_integer
 from .problems import get_problem, list_problems
 from .sets import SET_NAMES, make_set
 from .solvers import (
@@ -73,11 +72,9 @@ class BenchPlan:
             raise PlanError("plan needs at least one problem, set and solver")
         # checked here, not by make_ellipsoid in each ell run, which sees seed + n
         try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise PlanError(f"seed must be an integer, not {self.seed!r}") from None
-        if seed < 0:
-            raise PlanError(f"seed must be nonnegative, not {seed}")
+            as_integer(self.seed, "seed")
+        except ValueError as exc:
+            raise PlanError(str(exc)) from None
         # a repeated entry repeats runs that a profile then counts once
         for kind, entries in (
             ("problem", self.problems),
@@ -200,12 +197,15 @@ def run_plan(
 ) -> list[RunRecord]:
     """Execute every (solver, problem, set) combination of the plan.
 
-    `record_trace` is False for no traces, True for scalar traces or
-    "vectors" for traces that also hold each iteration's arrays; any other
-    value raises ValueError before a run starts.  A run that raises becomes
-    a record with status `STATUS_ERROR`; the other runs still complete.
+    The runs go to `jobs` worker processes when `jobs` > 1.  `record_trace`
+    is False for no traces, True for scalar traces or "vectors" for traces
+    that also hold each iteration's arrays.  Any other trace mode, and a
+    `jobs` that is not a positive integer, raise ValueError before a run
+    starts.  A run that raises becomes a record with status `STATUS_ERROR`;
+    the other runs still complete.
     """
     plan.validate()
+    jobs = as_integer(jobs, "jobs", least=1)
     trace_keeps_vectors(record_trace)
     tasks = [
         (pn, sn, solver, m, plan.overrides, plan.seed, record_trace)

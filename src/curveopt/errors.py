@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and `as_integer`, the one
+check of an integer argument (a dimension, `M`, `max_iters`, a seed or
+`jobs`)."""
+
+import operator
 
 
 class CurveOptError(Exception):
@@ -40,3 +44,16 @@ class PlanError(CurveOptError, ValueError):
 
 class EmptyProfileError(CurveOptError, ValueError):
     """No instance in the record set was solved by any solver."""
+
+
+def as_integer(value, name: str, least: int = 0) -> int:
+    """`operator.index(value)`, a Python int; ValueError unless that is at
+    least `least` (0 or 1).  A bool is no count, and a numpy integer passes."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = least - 1
+    if number < least or isinstance(value, bool):
+        kind = "positive" if least == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, not {value!r}")
+    return number

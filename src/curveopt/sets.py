@@ -21,13 +21,12 @@ one does not import numpy's random module (and hashlib with it).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ProjectionError
+from .errors import ProjectionError, as_integer
 
 Vector = np.ndarray
 
@@ -56,23 +55,12 @@ class ConvexFeasibleSet:
         return float(self.g(x).max())
 
 
-def _dimension(n) -> int:
-    """n as an int; ValueError unless it is a positive integer."""
-    try:
-        dim = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be a positive integer, not {n!r}") from None
-    if dim < 1 or isinstance(n, bool):
-        raise ValueError(f"n must be a positive integer, not {n!r}")
-    return dim
-
-
 # ---------------------------------------------------------------------------
 # sphere
 
 
 def make_sphere(n: int) -> ConvexFeasibleSet:
-    n = _dimension(n)
+    n = as_integer(n, "n", least=1)
     radius = 10.0
 
     def g(x):
@@ -101,7 +89,7 @@ def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
 
     Raises ValueError unless lo < hi, so a NaN bound is rejected too.
     """
-    n = _dimension(n)
+    n = as_integer(n, "n", least=1)
     if not lo < hi:
         raise ValueError(f"need lo < hi, not lo = {lo!r} and hi = {hi!r}")
 
@@ -189,15 +177,10 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
     yields the same set.  The draw is the in-repo PCG64 of `_uniform`, which
     reproduces numpy's `default_rng(seed).uniform(0.5, 2.0, size=n)` stream.
     A p_diag not of shape (n,) or with a non-finite or nonpositive entry, and
-    a seed that is negative or not an integer, raise ValueError.
+    a seed that is negative, a bool or not an integer, raise ValueError.
     """
-    n = _dimension(n)
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, not {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, not {seed}")
+    n = as_integer(n, "n", least=1)
+    seed = as_integer(seed, "seed")
     c = np.ones(n)
     rhs = 25.0
     if p_diag is None:
@@ -267,7 +250,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
 
 def make_composite(n: int) -> ConvexFeasibleSet:
     """||x - c||^2 <= 100 (c = 4*ones), w^T x <= 5 (w = ones/n), -5 <= x_i <= 10."""
-    n = _dimension(n)
+    n = as_integer(n, "n", least=1)
     c = np.full(n, 4.0)
     w = np.full(n, 1.0 / n)
     lo, hi = -5.0, 10.0

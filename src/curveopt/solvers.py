@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .curves import CurveDecision, QuadraticCurve, feasibility_certificate
-from .errors import SearchFailureError
+from .errors import SearchFailureError, as_integer
 from .problems import SmoothProblem
 from .sets import FEAS_TOL, ConvexFeasibleSet
 
@@ -73,14 +73,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("M", "max_iters"):
-            value = getattr(self, name)
-            try:
-                count = int(operator.index(value))
-            except TypeError:
-                count = -1
-            if count < 0 or isinstance(value, bool):  # True is an int, but no count
-                raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         for name in ("adaptive_momentum", "dynamic_beta"):
             if not isinstance(value := getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be True or False, not {value!r}")
@@ -479,8 +472,9 @@ def solve(
     `record_trace` is False for no trace, True for a `Trace` of one
     `IterationRecord` of scalars per iteration, or "vectors" for entries that
     also hold the iterate and the step's directions.  An unknown solver raises KeyError;
-    an unknown trace mode, a set of another dimension, an `x0` not of shape
-    (p.dim,) or a non-finite start raises ValueError, before any oracle call.
+    an unknown trace mode, a set of another dimension, or a start (`x0`, else
+    `p.start`) not of shape (p.dim,) or with a non-finite entry raises
+    ValueError, before any oracle call.
 
     Each iteration forms z = x - eta*grad, d = project(z) - x and grad'd
     once; the step `SOLVERS[solver](p, fset, cfg)`, called as
@@ -502,9 +496,9 @@ def solve(
         raise ValueError(
             f"set {fset.name} has dimension {fset.dim} but problem {p.name} has {p.dim}"
         )
-    if x0 is not None and np.shape(x0) != (p.dim,):
-        raise ValueError(f"x0 has shape {np.shape(x0)} but problem {p.name} needs ({p.dim},)")
     x = np.array(p.start if x0 is None else x0, dtype=float)
+    if x.shape != (p.dim,):
+        raise ValueError(f"the start of {p.name} has shape {x.shape}, not ({p.dim},)")
     if not np.isfinite(x).all():
         raise ValueError(f"the start of {p.name} has a non-finite entry")
     step = SOLVERS[solver](p, fset, cfg)

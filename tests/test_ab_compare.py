@@ -43,3 +43,17 @@ def test_a_run_that_ends_otherwise_fails_the_comparison(tmp_path):
     assert res.stderr.rstrip().endswith(
         "ended ('iter_limit', 399), in the first pass ('iter_limit', 400)"
     )
+
+
+def test_a_negative_seed_is_a_usage_error_before_any_checkout_loads(tmp_path):
+    missing = tmp_path / "missing"
+    res = subprocess.run(
+        [sys.executable, str(TOOL), str(missing), str(missing), "--workload", "exact",
+         "--seed", "-1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.rstrip().endswith("error: --seed must be nonnegative")

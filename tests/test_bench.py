@@ -88,6 +88,9 @@ def test_parse_plan_full_example():
 def test_parse_plan_defaults_m_to_zero():
     plan = parse_plan("problems = beale2\nsets = box\nsolvers = spg\n")
     assert plan.solvers == (("spg", 0),)
+    # an empty item is skipped
+    plan = parse_plan("solvers = scs:0, , spg\n")
+    assert plan.solvers == (("scs", 0), ("spg", 0))
 
 
 # M is set per solver, as name:M
@@ -165,11 +168,49 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"eta_max": math.inf}),
         BenchPlan(("beale2",), ("ell", "box"), (("scs", 0),), seed=1.5),
         BenchPlan(("beale2",), ("ell", "box"), (("scs", 0),), seed="3"),
+        BenchPlan(("beale2",), ("ell", "box"), (("scs", 0),), seed=True),
     ],
 )
 def test_plan_validate_rejects(plan):
     with pytest.raises(PlanError):
         plan.validate()
+
+
+def test_plan_seed_message():
+    plan = BenchPlan(("beale2",), ("ell", "box"), (("scs", 0),), seed=True)
+    with pytest.raises(PlanError, match=r"^seed must be a nonnegative integer, not True$"):
+        plan.validate()
+
+
+def counted_plan(monkeypatch, calls):
+    """A one-run plan whose solver logs each run in `calls`, where building a
+    process pool fails the test."""
+
+    def counted(p, fset, cfg):
+        calls.append(p.name)
+        return SOLVERS["spg"](p, fset, cfg)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setitem(SOLVERS, "counted", counted)
+    monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    return BenchPlan(("rosenbrock2",), ("box",), (("counted", 0),), overrides={"max_iters": 5})
+
+
+@pytest.mark.parametrize("jobs", (0, -3, True, 2.5))
+def test_run_plan_rejects_jobs_before_any_run(jobs, monkeypatch):
+    calls = []
+    plan = counted_plan(monkeypatch, calls)
+    with pytest.raises(ValueError, match=rf"^jobs must be a positive integer, not {jobs!r}$"):
+        run_plan(plan, jobs=jobs)
+    assert calls == []
+
+
+def test_run_plan_takes_a_numpy_integer_jobs(monkeypatch):
+    calls = []
+    records = run_plan(counted_plan(monkeypatch, calls), jobs=np.int64(1))
+    assert calls == ["rosenbrock2"] and len(records) == 1
 
 
 # ---------------------------------------------------------------------------

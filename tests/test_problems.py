@@ -93,8 +93,9 @@ def test_check_gradient_reports_domain_failure():
         lambda x: np.array([0.5 / np.sqrt(x[0])]) if x[0] > 0 else np.array([np.nan]),
         np.array([1.0]),
     )
-    with pytest.raises(EvaluationError):
-        check_gradient(bad, np.array([0.0]), 1e-6)
+    # the gradient is finite at x, but x - h lies outside the domain
+    with pytest.raises(EvaluationError, match="non-finite objective near coordinate 0$"):
+        check_gradient(bad, np.array([1e-7]), 1e-6)
 
 
 def test_gradients_match_finite_differences_everywhere():
@@ -126,6 +127,12 @@ def test_check_gradient_rejects_non_finite_analytic_gradient(grad, entry):
     p = square_norm_with_gradient(grad)
     with pytest.raises(EvaluationError, match=entry):
         check_gradient(p, np.ones(2), 1e-6)
+
+
+def test_gradient_of_another_shape_is_rejected():
+    p = square_norm_with_gradient(lambda x: np.zeros(3))
+    with pytest.raises(ValueError, match=r"^gradient of sq2 has shape \(3,\)$"):
+        p.grad(np.ones(2))
 
 
 @pytest.mark.parametrize("h", [np.nan, np.inf])

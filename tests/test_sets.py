@@ -188,13 +188,19 @@ def test_ellipsoid_rejects_non_finite_diag(bad):
         make_ellipsoid(2, p_diag=np.array([1.0, bad]))
 
 
-@pytest.mark.parametrize(
-    "seed, message",
-    ((-1, "seed must be nonnegative, not -1"), (1.5, "seed must be an integer, not 1.5")),
-)
-def test_ellipsoid_rejects_bad_seed(seed, message):
-    with pytest.raises(ValueError, match=message):
+# True is an int to Python, but no seed
+@pytest.mark.parametrize("seed", (-1, 1.5, True))
+def test_ellipsoid_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, not {seed}$"):
         make_ellipsoid(2, seed=seed)
+
+
+def test_ellipsoid_takes_a_numpy_integer_seed():
+    a = make_ellipsoid(3, seed=5)
+    b = make_ellipsoid(3, seed=np.int64(5))
+    z = np.full(3, 30.0)
+    assert a.g(z).tobytes() == b.g(z).tobytes()
+    assert a.project(z).tobytes() == b.project(z).tobytes()
 
 
 def test_uniform_matches_numpy_bitwise():
@@ -400,6 +406,12 @@ def test_constraint_convexity_witness(name):
 def test_builders_reject_a_dimension_that_is_not_a_positive_integer(name, n):
     with pytest.raises(ValueError, match=rf"^n must be a positive integer, not {n}$"):
         make_set(name, n)
+
+
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_builders_take_a_numpy_integer_dimension(name):
+    fset = make_set(name, np.int64(3))
+    assert type(fset.dim) is int and fset.dim == 3
 
 
 def test_registry():

@@ -393,11 +393,16 @@ def test_set_of_another_dimension_is_rejected_before_a_run(set_name):
     assert calls == []
 
 
-@pytest.mark.parametrize("x0", [5.0, np.zeros(3), np.zeros((2, 1)), [[1.0, 1.0]]])
-def test_start_of_another_shape_is_rejected_before_a_run(x0):
+@pytest.mark.parametrize("start", [5.0, np.zeros(3), np.zeros((2, 1)), [[1.0, 1.0]]])
+@pytest.mark.parametrize("where", ("x0", "p.start"))
+def test_start_of_another_shape_is_rejected_before_a_run(where, start):
     calls = []
-    with pytest.raises(ValueError, match=r"x0 has shape .* but problem ss2 needs \(2,\)$"):
-        solve("spg", counting_problem(2, calls), make_box(2), x0=x0)
+    p = counting_problem(2, calls)
+    if where == "p.start":
+        p = dataclasses.replace(p, start=start)
+    x0 = start if where == "x0" else None
+    with pytest.raises(ValueError, match=r"^the start of ss2 has shape .*, not \(2,\)$"):
+        solve("spg", p, make_box(2), x0=x0)
     assert calls == []
 
 

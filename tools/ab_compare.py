@@ -115,6 +115,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
+    if args.seed < 0:
+        ap.error("--seed must be nonnegative")
 
     harness = load_harness(args.change.resolve())
     if args.workload not in harness.WORKLOADS:
