@@ -35,6 +35,8 @@ class QuadraticCurve:
         return self.x + self.s
 
     def eval(self, t: float) -> Vector:
+        if t == 1.0:  # every search's first trial; 1.0 * v is v, bit for bit
+            return self.x + self.d + (self.s - self.d)
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"curve parameter t = {t} outside [0, 1]")
         return self.x + t * self.d + (t * t) * (self.s - self.d)

@@ -107,13 +107,14 @@ def _wood_grad(x):
 
 def _diag_quadratic(n, center=None, scale=1.0):
     w = scale * np.arange(1, n + 1, dtype=float)
+    two_w = 2.0 * w
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
     def f(x):
         return float((w * (x - c) ** 2).sum())
 
     def grad(x):
-        return 2.0 * w * (x - c)
+        return two_w * (x - c)
 
     return f, grad
 
@@ -137,10 +138,12 @@ def _extended_powell(n):
         b = x3 - x4
         c = x2 - 2.0 * x3
         d = x1 - x4
-        g[0::4] = 2.0 * a + 40.0 * d**3
-        g[1::4] = 20.0 * a + 4.0 * c**3
-        g[2::4] = 10.0 * b - 8.0 * c**3
-        g[3::4] = -10.0 * b - 40.0 * d**3
+        c3 = c**3
+        d3 = d**3
+        g[0::4] = 2.0 * a + 40.0 * d3
+        g[1::4] = 20.0 * a + 4.0 * c3
+        g[2::4] = 10.0 * b - 8.0 * c3
+        g[3::4] = -10.0 * b - 40.0 * d3
         return g
 
     return f, grad
@@ -149,18 +152,19 @@ def _extended_powell(n):
 def _trigonometric(n):
     idx = np.arange(1, n + 1, dtype=float)
 
-    def residuals(x):
-        return n - np.cos(x).sum() + idx * (1.0 - np.cos(x)) - np.sin(x)
+    def residuals(cos, sin):
+        return n - cos.sum() + idx * (1.0 - cos) - sin
 
     def f(x):
-        return float((residuals(x) ** 2).sum())
+        return float((residuals(np.cos(x), np.sin(x)) ** 2).sum())
 
     def grad(x):
-        r = residuals(x)
+        cos = np.cos(x)
+        sin = np.sin(x)
+        r = residuals(cos, sin)
         # dr_i/dx_j = sin(x_j) + [i == j] (idx_i sin(x_i) - cos(x_i)); grad = 2 J'r
-        s = np.sin(x)
-        g = 2.0 * r.sum() * s
-        g += 2.0 * r * (idx * s - np.cos(x))
+        g = 2.0 * r.sum() * sin
+        g += 2.0 * r * (idx * sin - cos)
         return g
 
     return f, grad
@@ -197,6 +201,8 @@ def _arwhead(n):
 def _tridiagonal(n, scale):
     # f = scale * [ (x_1 - 1)^2 + sum_{i=2}^n i (2 x_i - x_{i-1})^2 ]
     idx = np.arange(2, n + 1, dtype=float)
+    four_idx = 4.0 * idx
+    minus_two_idx = -2.0 * idx
 
     def f(x):
         r = 2.0 * x[1:] - x[:-1]
@@ -206,8 +212,8 @@ def _tridiagonal(n, scale):
         r = 2.0 * x[1:] - x[:-1]
         g = np.zeros(x.shape)
         g[0] = 2.0 * (x[0] - 1.0)
-        g[1:] += 4.0 * idx * r
-        g[:-1] += -2.0 * idx * r
+        g[1:] += four_idx * r
+        g[:-1] += minus_two_idx * r
         return scale * g
 
     return f, grad

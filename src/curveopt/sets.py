@@ -194,18 +194,21 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
     if np.any(p <= 0):
         raise ValueError("p_diag entries must be positive")
 
+    def q(d):
+        """The constraint value at c + d."""
+        return float((d * d / p).sum()) - rhs
+
     def g(x):
-        d = x - c
-        return np.array([float((d * d / p).sum()) - rhs])
+        return np.array([q(x - c)])
 
     def project(z):
         z = np.asarray(z, dtype=float)
-        gz = g(z)[0]
+        d = z - c
+        gz = q(d)
         if gz <= 0.0:
             return np.array(z)
         if not math.isfinite(gz):
             raise ProjectionError("ellipsoid projection: g(z) is not finite")
-        d = z - c
         pd = p * d
         dphi_num = -4.0 * p * d * d
         # KKT of min ||x - z||^2 s.t. g(x) <= 0:  x(lam) = c + p d / (p + 2 lam)
@@ -258,7 +261,7 @@ def make_composite(n: int) -> ConvexFeasibleSet:
 
     def g(x):
         d = x - c
-        head = np.array([float(d.dot(d)) - 100.0, float(np.dot(w, x)) - 5.0])
+        head = np.array([float(d.dot(d)) - 100.0, float(w.dot(x)) - 5.0])
         return np.concatenate([head, x - hi, lo - x])
 
     r2 = radius * radius
@@ -274,11 +277,16 @@ def make_composite(n: int) -> ConvexFeasibleSet:
         """1/rt - 1/||x - c|| for d2 = ||x - c||^2."""
         return 1.0 / rt - 1.0 / math.sqrt(d2) if d2 > 0.0 else -math.inf
 
+    def d2_of(x):
+        """||x - c||^2."""
+        u = x - c
+        return float(u.dot(u))
+
     def x_of(a, nu):
         return _clip(a - nu * w, lo, hi)
 
     def h(x):
-        return float(np.dot(w, x)) - 5.0
+        return float(w.dot(x)) - 5.0
 
     def project_halfspace_box(a):
         x_i = _clip(a, lo, hi)
@@ -310,7 +318,7 @@ def make_composite(n: int) -> ConvexFeasibleSet:
     def project(z):
         z = np.asarray(z, dtype=float)
         v = z - c
-        dz2 = float(np.dot(v, v))
+        dz2 = float(v.dot(v))
         if not math.isfinite(dz2):
             raise ProjectionError("composite projection: ||z - c|| is not finite")
         # P does not move points away from c, which lies in the set.  So
@@ -320,11 +328,11 @@ def make_composite(n: int) -> ConvexFeasibleSet:
             return project_halfspace_box(z)
         lam_hi = math.sqrt(dz2) / rt - 1.0
         x_hi = project_halfspace_box(c + v / (1.0 + lam_hi))
-        d2_hi = float(np.dot(x_hi - c, x_hi - c))
+        d2_hi = d2_of(x_hi)
         if d2_hi >= r2 - _COM_ROOT_TOL:
             return x_hi
         x = project_halfspace_box(z)
-        d2 = float(np.dot(x - c, x - c))
+        d2 = d2_of(x)
         if d2 <= r2:
             return x
         # d2(lam) = ||x(lam) - c||^2 is nonincreasing; return the first x(lam)
@@ -344,7 +352,7 @@ def make_composite(n: int) -> ConvexFeasibleSet:
             lam_prev, psi_prev = lam, psi_lam
             lam = step if lam_lo < step < lam_hi else 0.5 * (lam_lo + lam_hi)
             x = project_halfspace_box(c + v / (1.0 + lam))
-            d2 = float(np.dot(x - c, x - c))
+            d2 = d2_of(x)
             if d2 > r2:
                 lam_lo = lam
             elif d2 >= r2 - _COM_ROOT_TOL:

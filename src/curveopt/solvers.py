@@ -261,12 +261,16 @@ class RunRecord:
 def spectral_eta(r: Vector, y: Vector, eta_min: float, eta_max: float) -> float:
     """Safeguarded inverse Rayleigh quotient r'r / r'y.
 
-    Nonpositive curvature (r'y <= 0, including r = 0) maps to eta_max.
+    No positive curvature maps to eta_max: r'y <= 0 (including r = 0), and
+    a quotient that is not a number, as when r'y is inf - inf or r'r / r'y
+    is inf / inf.
     """
-    ry = float(np.dot(r, y))
-    if ry <= 0.0:
-        return eta_max
-    return min(eta_max, max(eta_min, float(np.dot(r, r)) / ry))
+    ry = float(r.dot(y))
+    if ry > 0.0:
+        q = float(r.dot(r)) / ry
+        if not math.isnan(q):
+            return min(eta_max, max(eta_min, q))
+    return eta_max
 
 
 def build_secondary_direction(
@@ -454,7 +458,9 @@ def _non_finite(f: float, grad: Vector, k: int) -> str:
     """What of f and grad at iterate k is not finite, or "" when both are."""
     if not math.isfinite(f):
         return f"f = {f!r} at iterate {k}"
-    if not np.isfinite(grad).all():
+    # grad'grad is inf or NaN whenever an entry is; only a finite gradient
+    # whose squares overflow needs the entrywise check
+    if not math.isfinite(grad.dot(grad)) and not np.isfinite(grad).all():
         return f"non-finite gradient at iterate {k}"
     return ""
 
@@ -538,7 +544,7 @@ def solve(
         z = x - eta * grad
         pz = fset.project(z)
         d = pz - x
-        grad_dot_d = float(np.dot(grad, d))
+        grad_dot_d = float(grad.dot(d))
         f_ref = max(f_hist)
         if rec is not None:
             rec.grad_dot_d = grad_dot_d

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,14 @@ def test_eval_endpoints():
     assert np.array_equal(EX_CURVE.eval(0.0), EX_CURVE.x)
     assert np.allclose(EX_CURVE.eval(1.0), [4.0, 2.0])
     assert np.allclose(EX_CURVE.p2, [4.0, 2.0])
+
+
+def test_eval_at_one_is_the_monomial_form_bit_for_bit():
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 0.3]
+    x, d, s = (np.array(v) for v in zip(*itertools.product(values, repeat=3)))
+    with np.errstate(all="ignore"):
+        expect = x + 1.0 * d + 1.0 * (s - d)
+        assert QuadraticCurve(x, d, s).eval(1.0).tobytes() == expect.tobytes()
 
 
 def test_eval_domain_error():

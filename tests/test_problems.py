@@ -109,6 +109,94 @@ def test_gradients_match_finite_differences_everywhere():
                 assert err <= 1e-7, f"{p.name}: near-stationary fd error {err:.2e}"
 
 
+def plain_diag_quadratic(n, center=None, scale=1.0):
+    w = scale * np.arange(1, n + 1, dtype=float)
+    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    return (lambda x: float((w * (x - c) ** 2).sum()), lambda x: 2.0 * w * (x - c))
+
+
+def plain_powell_grad(x):
+    x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
+    g = np.zeros(x.shape)
+    a = x1 + 10.0 * x2
+    b = x3 - x4
+    c = x2 - 2.0 * x3
+    d = x1 - x4
+    g[0::4] = 2.0 * a + 40.0 * d**3
+    g[1::4] = 20.0 * a + 4.0 * c**3
+    g[2::4] = 10.0 * b - 8.0 * c**3
+    g[3::4] = -10.0 * b - 40.0 * d**3
+    return g
+
+
+def plain_powell_f(x):
+    x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
+    return float(
+        ((x1 + 10.0 * x2) ** 2).sum()
+        + 5.0 * ((x3 - x4) ** 2).sum()
+        + ((x2 - 2.0 * x3) ** 4).sum()
+        + 10.0 * ((x1 - x4) ** 4).sum()
+    )
+
+
+def plain_trigls(n):
+    idx = np.arange(1, n + 1, dtype=float)
+
+    def residuals(x):
+        return n - np.cos(x).sum() + idx * (1.0 - np.cos(x)) - np.sin(x)
+
+    def grad(x):
+        r = residuals(x)
+        s = np.sin(x)
+        g = 2.0 * r.sum() * s
+        g += 2.0 * r * (idx * s - np.cos(x))
+        return g
+
+    return lambda x: float((residuals(x) ** 2).sum()), grad
+
+
+def plain_tridia(n, scale):
+    idx = np.arange(2, n + 1, dtype=float)
+
+    def f(x):
+        r = 2.0 * x[1:] - x[:-1]
+        return scale * float((x[0] - 1.0) ** 2 + (idx * r**2).sum())
+
+    def grad(x):
+        r = 2.0 * x[1:] - x[:-1]
+        g = np.zeros(x.shape)
+        g[0] = 2.0 * (x[0] - 1.0)
+        g[1:] += 4.0 * idx * r
+        g[:-1] += -2.0 * idx * r
+        return scale * g
+
+    return f, grad
+
+
+#: f and grad with every expression written where it is used and every
+#: constant product left unfolded: the references for the oracles that share
+#: subexpressions or fold constants at build time
+PLAIN_ORACLES = {
+    "quad_diag50": plain_diag_quadratic(50),
+    "quad_diag500": plain_diag_quadratic(500, scale=1.0 / 500.0),
+    "quad_shift50": plain_diag_quadratic(50, center=np.tile([2.0, -2.0], 25)),
+    "powell20": (plain_powell_f, plain_powell_grad),
+    "trigls10": plain_trigls(10),
+    "tridia1000": plain_tridia(1000, 1.0 / 1000.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_ORACLES))
+def test_oracles_match_the_plain_formulas_bit_for_bit(name):
+    p = get_problem(name)
+    f, grad = PLAIN_ORACLES[name]
+    rng = np.random.default_rng(11)
+    points = [p.start, 0.7 * p.start] + [rng.uniform(-3.0, 3.0, p.dim) for _ in range(5)]
+    for x in points:
+        assert np.float64(p.f(x)).tobytes() == np.float64(f(x)).tobytes()
+        assert p.grad(x).tobytes() == grad(x).tobytes()
+
+
 def square_norm_with_gradient(grad):
     return SmoothProblem("sq2", 2, lambda x: float(np.dot(x, x)), grad, np.ones(2))
 

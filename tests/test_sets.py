@@ -351,6 +351,166 @@ def test_ellipsoid_rejects_non_finite_point_at_once(bad):
 
 
 # ---------------------------------------------------------------------------
+# ellipsoid and composite, against their formulas written out plainly
+
+
+def plain_ellipsoid(p):
+    """g and project of the ellipsoid of diagonal p, with each expression
+    written where it is used: the reference for make_ellipsoid's shared
+    constraint value."""
+    n = len(p)
+    c = np.ones(n)
+    rhs = 25.0
+
+    def g(x):
+        d = x - c
+        return np.array([float((d * d / p).sum()) - rhs])
+
+    def project(z):
+        z = np.asarray(z, dtype=float)
+        gz = g(z)[0]
+        if gz <= 0.0:
+            return np.array(z)
+        d = z - c
+        pd = p * d
+        dphi_num = -4.0 * p * d * d
+
+        def phi(lam):
+            w = pd / (p + 2.0 * lam)
+            return float((w * w / p).sum()) - rhs
+
+        lo, hi = 0.0, 1.0
+        while phi(hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+        lam = 0.5 * (lo + hi)
+        for _ in range(200):
+            val = phi(lam)
+            if abs(val) <= 1e-10:
+                break
+            if val > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            w = p + 2.0 * lam
+            dphi = float((dphi_num / w**3).sum())
+            lam_newton = lam - val / dphi if dphi != 0.0 else lam
+            lam = lam_newton if lo < lam_newton < hi else 0.5 * (lo + hi)
+        return c + pd / (p + 2.0 * lam)
+
+    return g, project
+
+
+def plain_composite_projection(n):
+    """make_composite's projection with ||x - c||^2 written out at each use:
+    the reference for its shared squared distance."""
+    c = np.full(n, 4.0)
+    w = np.full(n, 1.0 / n)
+    lo, hi = -5.0, 10.0
+    r2 = 100.0
+    tol = 1e-11
+    rt = math.sqrt(r2 - 0.5 * tol)
+
+    def psi(d2):
+        return 1.0 / rt - 1.0 / math.sqrt(d2) if d2 > 0.0 else -math.inf
+
+    def x_of(a, nu):
+        return np.minimum(np.maximum(a - nu * w, lo), hi)
+
+    def h(x):
+        return float(np.dot(w, x)) - 5.0
+
+    def project_halfspace_box(a):
+        x_i = np.minimum(np.maximum(a, lo), hi)
+        h_i = h(x_i)
+        if h_i <= 0.0:
+            return x_i
+        nodes = np.sort(np.concatenate(((a - hi) / w, (a - lo) / w)))
+        nodes = nodes[nodes > 0.0]
+        i, j = -1, len(nodes) - 1
+        x_j = x_of(a, nodes[j])
+        h_j = h(x_j)
+        while j - i > 1:
+            m = (i + j) // 2
+            x_m = x_of(a, nodes[m])
+            h_m = h(x_m)
+            if h_m > 0.0:
+                i, x_i, h_i = m, x_m, h_m
+            else:
+                j, x_j, h_j = m, x_m, h_m
+        return x_i + (h_i / (h_i - h_j)) * (x_j - x_i)
+
+    def project(z):
+        z = np.asarray(z, dtype=float)
+        v = z - c
+        dz2 = float(np.dot(v, v))
+        if dz2 <= r2:
+            return project_halfspace_box(z)
+        lam_hi = math.sqrt(dz2) / rt - 1.0
+        x_hi = project_halfspace_box(c + v / (1.0 + lam_hi))
+        d2_hi = float(np.dot(x_hi - c, x_hi - c))
+        if d2_hi >= r2 - tol:
+            return x_hi
+        x = project_halfspace_box(z)
+        d2 = float(np.dot(x - c, x - c))
+        if d2 <= r2:
+            return x
+        lam_lo, lam_prev, psi_prev = 0.0, 0.0, psi(d2)
+        lam, psi_lam = lam_hi, psi(d2_hi)
+        while True:
+            if lam_hi - lam_lo <= 4.0 * math.ulp(lam_hi):
+                return x_hi
+            step = (
+                lam - psi_lam * (lam - lam_prev) / (psi_lam - psi_prev)
+                if psi_lam != psi_prev
+                else math.nan
+            )
+            lam_prev, psi_prev = lam, psi_lam
+            lam = step if lam_lo < step < lam_hi else 0.5 * (lam_lo + lam_hi)
+            x = project_halfspace_box(c + v / (1.0 + lam))
+            d2 = float(np.dot(x - c, x - c))
+            if d2 > r2:
+                lam_lo = lam
+            elif d2 >= r2 - tol:
+                return x
+            else:
+                lam_hi, x_hi = lam, x
+            psi_lam = psi(d2)
+
+    return project
+
+
+def probe_points(fset, centre, n, rng):
+    """Points inside the set, on its boundary (projections of far points)
+    and outside it at several distances from `centre`."""
+    inside = [centre, centre + rng.uniform(-0.5, 0.5, n)]
+    outside = [centre + scale * rng.standard_normal(n) for scale in (5.0, 8.0, 30.0, 1e3)
+               for _ in range(5)]
+    boundary = [fset.project(z) for z in outside]
+    return inside + boundary + outside
+
+
+@pytest.mark.parametrize("n", (1, 2, 10, 50))
+def test_ellipsoid_matches_the_plain_formulas(n):
+    p = np.array(_uniform(n, 0.5, 2.0, n))
+    e = make_ellipsoid(n, p_diag=p)
+    g, project = plain_ellipsoid(p)
+    for x in probe_points(e, np.ones(n), n, np.random.default_rng(n)):
+        assert e.g(x).tobytes() == g(x).tobytes()
+        assert e.g(x.tolist()).tobytes() == g(x).tobytes()
+        assert e.project(x).tobytes() == project(x).tobytes()
+        assert e.project(x.tolist()).tobytes() == project(x.tolist()).tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2, 10, 50))
+def test_composite_matches_the_plain_formulas(n):
+    com = make_composite(n)
+    project = plain_composite_projection(n)
+    for x in probe_points(com, np.full(n, 4.0), n, np.random.default_rng(n)):
+        assert com.project(x).tobytes() == project(x).tobytes()
+        assert com.project(x.tolist()).tobytes() == project(x.tolist()).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # shared invariants over all four shipped sets
 
 

@@ -82,12 +82,30 @@ def test_spectral_eta_quotient():
 def test_spectral_eta_nonpositive_curvature():
     assert spectral_eta(np.array([1.0]), np.array([-1.0]), 1e-3, 1e3) == 1e3
     assert spectral_eta(np.zeros(2), np.zeros(2), 1e-3, 1e3) == 1e3
+    # r'y = inf - inf, then r'r / r'y = inf / inf: neither quotient is a number
+    with np.errstate(over="ignore"):
+        assert spectral_eta(np.array([1e200, 1e200]), np.array([1e200, -1e200]), 1e-3, 1e3) == 1e3
+        assert spectral_eta(np.array([1e200, 0.0]), np.array([1e200, 0.0]), 1e-3, 1e3) == 1e3
 
 
 def test_spectral_eta_clamped():
     # r'r / r'y = 1 / 2000 below the floor
     assert spectral_eta(np.array([1.0]), np.array([2000.0]), 1e-3, 1e3) == 1e-3
     assert spectral_eta(np.array([1.0]), np.array([1e-6]), 1e-3, 1e3) == 1e3
+
+
+@pytest.mark.parametrize(
+    "entry, detail",
+    [
+        (1e200, ""),  # finite, though its square overflows
+        (math.inf, "non-finite gradient at iterate 7"),
+        (-math.inf, "non-finite gradient at iterate 7"),
+        (math.nan, "non-finite gradient at iterate 7"),
+    ],
+)
+def test_non_finite_gradient_entry(entry, detail):
+    with np.errstate(over="ignore"):
+        assert solvers._non_finite(1.0, np.array([1.0, entry, 1e200]), 7) == detail
 
 
 def test_build_secondary_direction_worked_value():
