@@ -16,6 +16,9 @@ from .errors import EvaluationError
 
 Vector = np.ndarray
 
+#: `a.sum()` for 1-D a, without the Python frame of numpy's method wrapper
+_sum = np.add.reduce
+
 
 @dataclass(frozen=True)
 class SmoothProblem:
@@ -57,7 +60,7 @@ def _rosenbrock_grad(x):
 def _chained_rosenbrock(scale):
     def f(x):
         r = x[1:] - x[:-1] ** 2
-        return scale * float(100.0 * (r**2).sum() + ((1.0 - x[:-1]) ** 2).sum())
+        return scale * float(100.0 * _sum(r**2) + _sum((1.0 - x[:-1]) ** 2))
 
     def grad(x):
         r = x[1:] - x[:-1] ** 2
@@ -111,7 +114,7 @@ def _diag_quadratic(n, center=None, scale=1.0):
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
     def f(x):
-        return float((w * (x - c) ** 2).sum())
+        return float(_sum(w * (x - c) ** 2))
 
     def grad(x):
         return two_w * (x - c)
@@ -125,10 +128,10 @@ def _extended_powell(n):
     def f(x):
         x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
         return float(
-            ((x1 + 10.0 * x2) ** 2).sum()
-            + 5.0 * ((x3 - x4) ** 2).sum()
-            + ((x2 - 2.0 * x3) ** 4).sum()
-            + 10.0 * ((x1 - x4) ** 4).sum()
+            _sum((x1 + 10.0 * x2) ** 2)
+            + 5.0 * _sum((x3 - x4) ** 2)
+            + _sum((x2 - 2.0 * x3) ** 4)
+            + 10.0 * _sum((x1 - x4) ** 4)
         )
 
     def grad(x):
@@ -153,17 +156,17 @@ def _trigonometric(n):
     idx = np.arange(1, n + 1, dtype=float)
 
     def residuals(cos, sin):
-        return n - cos.sum() + idx * (1.0 - cos) - sin
+        return n - _sum(cos) + idx * (1.0 - cos) - sin
 
     def f(x):
-        return float((residuals(np.cos(x), np.sin(x)) ** 2).sum())
+        return float(_sum(residuals(np.cos(x), np.sin(x)) ** 2))
 
     def grad(x):
         cos = np.cos(x)
         sin = np.sin(x)
         r = residuals(cos, sin)
         # dr_i/dx_j = sin(x_j) + [i == j] (idx_i sin(x_i) - cos(x_i)); grad = 2 J'r
-        g = 2.0 * r.sum() * sin
+        g = 2.0 * _sum(r) * sin
         g += 2.0 * r * (idx * sin - cos)
         return g
 
@@ -172,7 +175,7 @@ def _trigonometric(n):
 
 def _engval1(n):
     def f(x):
-        return float(((x[:-1] ** 2 + x[1:] ** 2) ** 2).sum() + (-4.0 * x[:-1] + 3.0).sum())
+        return float(_sum((x[:-1] ** 2 + x[1:] ** 2) ** 2) + _sum(-4.0 * x[:-1] + 3.0))
 
     def grad(x):
         t = x[:-1] ** 2 + x[1:] ** 2
@@ -186,13 +189,13 @@ def _engval1(n):
 
 def _arwhead(n):
     def f(x):
-        return float(((x[:-1] ** 2 + x[-1] ** 2) ** 2 - 4.0 * x[:-1] + 3.0).sum())
+        return float(_sum((x[:-1] ** 2 + x[-1] ** 2) ** 2 - 4.0 * x[:-1] + 3.0))
 
     def grad(x):
         t = x[:-1] ** 2 + x[-1] ** 2
         g = np.zeros(x.shape)
         g[:-1] = 4.0 * x[:-1] * t - 4.0
-        g[-1] += (4.0 * x[-1] * t).sum()
+        g[-1] += _sum(4.0 * x[-1] * t)
         return g
 
     return f, grad
@@ -206,7 +209,7 @@ def _tridiagonal(n, scale):
 
     def f(x):
         r = 2.0 * x[1:] - x[:-1]
-        return scale * float((x[0] - 1.0) ** 2 + (idx * r**2).sum())
+        return scale * float((x[0] - 1.0) ** 2 + _sum(idx * r**2))
 
     def grad(x):
         r = 2.0 * x[1:] - x[:-1]

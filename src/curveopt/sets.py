@@ -30,6 +30,11 @@ from .errors import ProjectionError, as_integer
 
 Vector = np.ndarray
 
+#: `a.sum()` and `a.max()` for 1-D a, without the Python frame of numpy's
+#: method wrappers
+_sum = np.add.reduce
+_max = np.maximum.reduce
+
 #: slack for every floating-point "g_i <= 0" feasibility check
 FEAS_TOL = 1e-8
 
@@ -52,7 +57,7 @@ class ConvexFeasibleSet:
         return np.asarray(self.eval_g(np.asarray(x, dtype=float)), dtype=float)
 
     def max_violation(self, x: Vector) -> float:
-        return float(self.g(x).max())
+        return float(_max(self.g(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
 
     def q(d):
         """The constraint value at c + d."""
-        return float((d * d / p).sum()) - rhs
+        return float(_sum(d * d / p)) - rhs
 
     def g(x):
         return np.array([q(x - c)])
@@ -214,7 +219,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
         # KKT of min ||x - z||^2 s.t. g(x) <= 0:  x(lam) = c + p d / (p + 2 lam)
         def phi(lam):
             w = pd / (p + 2.0 * lam)
-            return float((w * w / p).sum()) - rhs
+            return float(_sum(w * w / p)) - rhs
 
         lo, hi = 0.0, 1.0
         it = 0
@@ -234,7 +239,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
                 hi = lam
             # Newton step on phi, safeguarded by the bracket
             w = p + 2.0 * lam
-            dphi = float((dphi_num / w**3).sum())
+            dphi = float(_sum(dphi_num / w**3))
             lam_newton = lam - val / dphi if dphi != 0.0 else lam
             if lo < lam_newton < hi:
                 lam = lam_newton

@@ -9,9 +9,13 @@ endpoint settles most steps; only an infeasible endpoint goes to the
 certificate and to the momentum reduction, which tries smaller weights.  When
 it violates a constraint nearly active along the primary direction, or no
 smaller weight makes it feasible, the step falls back to the straight line,
-which is always feasible.  The curve search checks g only where it accepts.
+which is always feasible.  Each curve builds its endpoint once, as
+x + d + (s - d); the step's check, the reduction's and the search's first
+trial all use that one array.  The curve search checks g only where it
+accepts, and not at an endpoint the step has already found feasible.
 SPG, the spectral projected gradient baseline, backtracks along the straight
-line by quadratic interpolation.
+line by quadratic interpolation.  With `beta0 = 0` and `ALPHA` set to 1, an
+SCS step is SPG backtracking by halving instead, bit for bit.
 `SOLVERS` maps each solver name to its step strategy.
 """
 
@@ -33,6 +37,9 @@ from .problems import SmoothProblem
 from .sets import FEAS_TOL, ConvexFeasibleSet
 
 Vector = np.ndarray
+
+#: `a.max()` for 1-D a, without the Python frame of numpy's method wrapper
+_max = np.maximum.reduce
 
 #: threshold on ||z - project(z)|| deciding whether a projection was
 #: actually needed to form the primary direction
@@ -289,9 +296,10 @@ def adaptive_momentum(
 ) -> tuple[Vector, float]:
     """Geometrically shrink the momentum weight until the endpoint is feasible.
 
-    `c` is the momentum curve of weight beta, whose endpoint c.x + c.s the SCS
+    `c` is the momentum curve of weight beta, whose endpoint c.p2 the SCS
     step found infeasible.  Returns (s, beta_k) with beta_k the largest
-    DELTA^h * beta, 1 <= h <= MAX_BACKTRACKS, that makes c.x + s feasible,
+    DELTA^h * beta, 1 <= h <= MAX_BACKTRACKS, that makes the endpoint
+    `QuadraticCurve(c.x, c.d, s).p2` feasible,
     s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta).  Raises
     SearchFailureError when none does, at once if MAX_BACKTRACKS is 0; near a
     wide window's eta_max the momentum term can outlast every halving.
@@ -300,7 +308,7 @@ def adaptive_momentum(
     for _ in range(MAX_BACKTRACKS):
         beta_k *= DELTA
         s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta)
-        if fset.max_violation(c.x + s) <= FEAS_TOL:
+        if fset.max_violation(QuadraticCurve(c.x, c.d, s).p2) <= FEAS_TOL:
             return s, beta_k
     raise SearchFailureError(
         "momentum reduction exhausted its budget",
@@ -315,6 +323,8 @@ def curve_search(
     c: QuadraticCurve,
     f_ref: float,
     grad_dot_d: float,
+    *,
+    end_feasible: bool = False,
 ) -> tuple[Vector, float, float]:
     """Backtrack over t = DELTA^h, 0 <= h <= MAX_BACKTRACKS, to a feasible
     gamma(t) passing Armijo; return (gamma(t), f, t).
@@ -323,14 +333,18 @@ def curve_search(
     checked against g, so the accepted t is the first that passes both.  An
     SCS curve leaves the set only when the certificate accepts an infeasible
     endpoint and no reduction runs (`adaptive_momentum` off, or an inactive
-    projection).  On exhaustion `failed_condition` is "feasibility" when the
-    last trial lies outside the set.
+    projection).  `end_feasible=True` says the caller has found `c.p2`, the
+    first trial, feasible, so that trial is not checked again; every other
+    accepted trial is.  On exhaustion `failed_condition` is "feasibility"
+    when the last trial lies outside the set.
     """
     t = 1.0
     for _ in range(MAX_BACKTRACKS + 1):
         pt = c.eval(t)
         fv = p.f(pt)
-        if fv <= f_ref + SIGMA * t * grad_dot_d and fset.max_violation(pt) <= FEAS_TOL:
+        if fv <= f_ref + SIGMA * t * grad_dot_d and (
+            (end_feasible and t == 1.0) or fset.max_violation(pt) <= FEAS_TOL
+        ):
             return pt, fv, t
         t *= DELTA
     feasible = fset.max_violation(pt) <= FEAS_TOL
@@ -344,7 +358,7 @@ def curve_search(
 def stationarity_measure(fset: ConvexFeasibleSet, x: Vector, grad: Vector) -> float:
     """Infinity norm of project(x - grad) - x; zero iff x is stationary."""
     step = fset.project(x - grad) - x
-    return float(np.abs(step).max()) if step.size else 0.0
+    return float(_max(np.abs(step))) if step.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +389,8 @@ class _CurveStep:
         curve = QuadraticCurve(x, d, s)
 
         adaptive = False
+        # whether the endpoint of the curve searched has been found feasible
+        end_feasible = False
         beta_k = self.beta
         # x and x + d are feasible, so the middle control point x + d/2 is too;
         # once the endpoint x + s is feasible, every point of the curve is a
@@ -385,6 +401,7 @@ class _CurveStep:
         # and the search's check of the accepted point keeps iterates feasible.
         if not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL:
             adaptive = cfg.adaptive_momentum and proj_required
+            end_feasible = True
         elif not fallback:
             decision = feasibility_certificate(curve, self.fset, T_TILDE, self.eps)
             fallback = decision is CurveDecision.FALL_BACK
@@ -396,7 +413,9 @@ class _CurveStep:
                     # feasible; x + d is, so the straight line always remains
                     fallback = True
                 else:
-                    adaptive = True
+                    # the reduction tested this s's endpoint, which the
+                    # rebuilt curve forms again bit for bit
+                    adaptive = end_feasible = True
                     self.adaptive_reductions += beta_k < self.beta
         if fallback:
             s = d
@@ -412,7 +431,9 @@ class _CurveStep:
             if rec.x is not None:  # a vector trace
                 rec.s = s
                 rec.s_candidate = s_candidate
-        x_next, f_next, t = curve_search(self.p, self.fset, curve, f_ref, grad_dot_d)
+        x_next, f_next, t = curve_search(
+            self.p, self.fset, curve, f_ref, grad_dot_d, end_feasible=end_feasible
+        )
 
         if cfg.dynamic_beta:
             self.beta = beta_k if adaptive else min(cfg.beta0, self.beta / DELTA)
@@ -434,14 +455,15 @@ class _LineStep:
         if rec is not None:
             rec.straight_line = True
         lam = 1.0
+        xt = x + d  # 1.0 * d is d, bit for bit
         for _ in range(MAX_BACKTRACKS + 1):
-            xt = x + lam * d
             ft = self.p.f(xt)
             if ft <= f_ref + SIGMA * lam * grad_dot_d:
                 return xt, ft, lam
             denom = 2.0 * (ft - fx - lam * grad_dot_d)
             lam_new = -lam * lam * grad_dot_d / denom if denom > 0.0 else 0.5 * lam
             tried, lam = lam, min(0.9 * lam, max(0.1 * lam, lam_new))
+            xt = x + lam * d
         raise SearchFailureError(
             f"line search exhausted {MAX_BACKTRACKS} backtracks",
             last_trial=tried,

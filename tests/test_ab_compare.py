@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_compare.py"
 
@@ -42,6 +44,36 @@ def test_a_run_that_ends_otherwise_fails_the_comparison(tmp_path):
     assert res.stderr.startswith("round 0, parent: run ('rosenbrock2', ")
     assert res.stderr.rstrip().endswith(
         "ended ('iter_limit', 399), in the first pass ('iter_limit', 400)"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, drifted, message",
+    (
+        ("final_x", "final_x=np.array(x) * (1.0 + 2.0**-52),",
+         "with final_x bytes unlike the first pass's"),
+        # the first run in key order ends at the minimiser of rosenbrock2, f = 0
+        ("f_star", "f_star=math.nextafter(fx, math.inf),",
+         "with f_star 5e-324, in the first pass 0.0"),
+    ),
+)
+def test_a_run_that_drifts_only_in_its_bits_fails_the_comparison(
+    tmp_path, field, drifted, message
+):
+    # a copy of the library whose runs end in the same status and iteration
+    # count, with every entry of final_x times 1 + 2**-52, or f_star one ulp up
+    src = tmp_path / "src" / "curveopt"
+    shutil.copytree(ROOT / "src" / "curveopt", src, ignore=shutil.ignore_patterns("__pycache__"))
+    solvers = src / "solvers.py"
+    text = solvers.read_text()
+    exact = {"final_x": "final_x=np.array(x),", "f_star": "f_star=fx,"}[field]
+    assert text.count(exact) == 1
+    solvers.write_text(text.replace(exact, drifted))
+    res = ab_compare(tmp_path, ROOT)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"round 0, parent: run ('rosenbrock2', 'box', 'scs', 0) ended ('stationary', 1) {message}\n"
     )
 
 

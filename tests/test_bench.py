@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import curveopt.sets
 from curveopt import bench
 from curveopt.bench import (
     CSV_COLUMNS,
@@ -312,6 +313,25 @@ def test_run_plan_records_a_failed_set_build_and_finishes_the_rest(monkeypatch):
             assert r.detail == "ValueError: expected non-negative integer"
         else:
             assert r.status == "stationary"
+
+
+def test_run_plan_records_a_failed_projection_and_finishes_the_rest(monkeypatch):
+    # with no iterations allowed, the first projection of wood4's start onto
+    # ell or com raises; the box runs complete
+    monkeypatch.setattr(curveopt.sets, "_ELL_MAX_ITERS", 0)
+    monkeypatch.setattr(curveopt.sets, "_COM_MAX_ITERS", 0)
+    plan = BenchPlan(("wood4",), ("box", "ell", "com"), (("scs", 0), ("spg", 0)))
+    records = run_plan(plan, jobs=1)
+    details = {
+        "ell": "ProjectionError: ellipsoid projection: root finder did not converge",
+        "com": "ProjectionError: composite projection: multiplier search did not converge",
+    }
+    assert len(records) == 6
+    for r in records:
+        if r.set_name == "box":
+            assert (r.status, r.detail) == ("stationary", "")
+        else:
+            assert (r.status, r.detail) == (STATUS_ERROR, details[r.set_name])
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,10 @@ def test_eval_at_one_is_the_monomial_form_bit_for_bit():
     x, d, s = (np.array(v) for v in zip(*itertools.product(values, repeat=3)))
     with np.errstate(all="ignore"):
         expect = x + 1.0 * d + 1.0 * (s - d)
-        assert QuadraticCurve(x, d, s).eval(1.0).tobytes() == expect.tobytes()
+        c = QuadraticCurve(x, d, s)
+        assert c.eval(1.0).tobytes() == expect.tobytes()
+    # the endpoint is built once, and every check of it tests that array
+    assert c.eval(1.0) is c.p2
 
 
 def test_eval_domain_error():

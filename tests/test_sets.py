@@ -350,6 +350,33 @@ def test_ellipsoid_rejects_non_finite_point_at_once(bad):
         e.project(np.array([0.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "offset, message",
+    (
+        # phi(1) = (100 / 3)^2 - 25 > 0: the bracket must grow past lam = 1
+        (100.0, "bracketing failed"),
+        # phi(1) = (5.1 / 3)^2 - 25 <= 0: the bracket [0, 1] holds the root
+        (5.1, "root finder did not converge"),
+    ),
+)
+def test_ellipsoid_projection_without_iterations_raises(monkeypatch, offset, message):
+    monkeypatch.setattr(curveopt.sets, "_ELL_MAX_ITERS", 0)
+    e = make_ellipsoid(3, p_diag=np.ones(3))  # the ball of radius 5 about ones
+    z = np.array([1.0 + offset, 1.0, 1.0])
+    assert e.max_violation(z) > 0.0
+    with pytest.raises(ProjectionError, match=f"^ellipsoid projection: {message}$"):
+        e.project(z)
+
+
+def test_composite_projection_without_iterations_raises(monkeypatch):
+    monkeypatch.setattr(curveopt.sets, "_COM_MAX_ITERS", 0)
+    c = make_composite(3)
+    with pytest.raises(
+        ProjectionError, match="^composite projection: multiplier search did not converge$"
+    ):
+        c.project(np.array([30.0, -20.0, 4.0]))
+
+
 # ---------------------------------------------------------------------------
 # ellipsoid and composite, against their formulas written out plainly
 

@@ -11,7 +11,7 @@ from curveopt.bench import BenchPlan, run_plan
 from curveopt.curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from curveopt.errors import ContractError, SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
-from curveopt.sets import FEAS_TOL, make_box, make_set
+from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
     DELTA,
     ETA0,
@@ -261,6 +261,103 @@ def test_curve_search_checks_the_accepted_point_against_g(monkeypatch):
     with pytest.raises(SearchFailureError) as exc:
         curve_search(p, b, c, 0.25, -2.0)
     assert exc.value.failed_condition == "feasibility"
+
+
+@pytest.mark.parametrize(
+    "f_ref, t_accepted, checked_with_flag",
+    # f = 1 at the endpoint [-1, 0], so f_ref 10 accepts t = 1 and f_ref 1
+    # rejects it by Armijo and accepts t = 0.5 at [0, 0]
+    ((10.0, 1.0, []), (1.0, 0.5, [[0.0, 0.0]])),
+    ids=("endpoint", "inner"),
+)
+def test_curve_search_skips_only_the_endpoint_the_caller_checked(
+    monkeypatch, f_ref, t_accepted, checked_with_flag
+):
+    p = sum_of_squares(2)
+    b = make_box(2)
+    c = QuadraticCurve(np.array([1.0, 0.0]), np.array([-2.0, 0.0]), np.array([-2.0, 0.0]))
+    points = []  # what every `ConvexFeasibleSet.g` call is asked about
+    g = ConvexFeasibleSet.g
+
+    def counting_g(self, x):
+        points.append(np.array(x))
+        return g(self, x)
+
+    monkeypatch.setattr(ConvexFeasibleSet, "g", counting_g)
+    x, _, t = curve_search(p, b, c, f_ref, -4.0, end_feasible=True)
+    assert t == t_accepted
+    assert (x is c.p2) == (t == 1.0)
+    assert [pt.tolist() for pt in points] == checked_with_flag
+    # without the flag the search checks the point it accepts, even the endpoint
+    points.clear()
+    assert curve_search(p, b, c, f_ref, -4.0)[2] == t_accepted
+    assert [pt.tolist() for pt in points] == [x.tolist()]
+
+
+def test_scs_skips_the_search_check_only_at_an_endpoint_it_found_feasible(monkeypatch):
+    # chnrosnb100/box scs:0 takes every kind of step: a passed endpoint
+    # check, a momentum reduction, a fallback, and an infeasible endpoint
+    # the certificate accepts with an inactive projection, so no reduction
+    events = []
+    real_g = ConvexFeasibleSet.g
+
+    def logged_g(self, x):
+        out = real_g(self, x)
+        events.append(("g", np.asarray(x).tobytes(), float(out.max())))
+        return out
+
+    real_reduce = solvers.adaptive_momentum
+
+    def logged_reduce(*args):
+        events.append(("reduce",))
+        return real_reduce(*args)
+
+    real_search = solvers.curve_search
+
+    def logged_search(p, fset, c, f_ref, grad_dot_d, *, end_feasible=False):
+        events.append(("search", c, end_feasible))
+        x, f, t = real_search(p, fset, c, f_ref, grad_dot_d, end_feasible=end_feasible)
+        events.append(("accept", x.tobytes(), t))
+        return x, f, t
+
+    monkeypatch.setattr(ConvexFeasibleSet, "g", logged_g)
+    monkeypatch.setattr(solvers, "adaptive_momentum", logged_reduce)
+    monkeypatch.setattr(solvers, "curve_search", logged_search)
+    fset = make_set("box", 100)
+    rec = solve("scs", get_problem("chnrosnb100"), fset, SolverConfig(max_iters=400))
+    assert (rec.iterations, rec.fallbacks, rec.adaptive_reductions) == (400, 2, 46)
+
+    # each step: the events before its search, the search, the g calls
+    # inside the search, and the point it accepted
+    steps = []
+    before, inside = [], None
+    for event in events:
+        if event[0] == "search":
+            search, inside = event, []
+        elif event[0] == "accept":
+            steps.append((before, search, inside, event))
+            before, inside = [], None
+        else:
+            (before if inside is None else inside).append(event)
+    assert len(steps) == 400
+
+    kinds = dict.fromkeys(("checked", "reduced", "fallback", "unchecked"), 0)
+    for before, (_, c, end_feasible), inside, (_, accepted, t) in steps:
+        if end_feasible:
+            # the step's last g call, its own or the reduction's, tested
+            # this very endpoint and passed it
+            _, point, value = before[-1]
+            assert point == c.p2.tobytes() and value <= FEAS_TOL
+            kinds["reduced" if ("reduce",) in before else "checked"] += 1
+            assert [e[1] for e in inside] == ([] if t == 1.0 else [accepted])
+        else:
+            if c.s is c.d:
+                kinds["fallback"] += 1
+            else:
+                assert fset.eval_g(c.p2).max() > FEAS_TOL
+                kinds["unchecked"] += 1
+            assert inside[-1][1] == accepted
+    assert kinds == {"checked": 351, "reduced": 46, "fallback": 2, "unchecked": 1}
 
 
 def test_scs_still_rejects_a_projection_that_leaves_the_set():
@@ -765,6 +862,48 @@ def test_scs_iterates_feasible_everywhere(set_name):
     for r in rec.trace:
         assert r.max_g <= FEAS_TOL
     assert rec.max_g_final <= FEAS_TOL
+
+
+class _HalvingLineStep(solvers._LineStep):
+    """SPG backtracking by halving: lam = DELTA^h along x + lam d."""
+
+    def __call__(self, x, fx, eta, z, pz, d, grad_dot_d, f_ref, rec):
+        lam = 1.0
+        for _ in range(solvers.MAX_BACKTRACKS + 1):
+            xt = x + lam * d
+            ft = self.p.f(xt)
+            if ft <= f_ref + SIGMA * lam * grad_dot_d:
+                return xt, ft, lam
+            lam *= DELTA
+        raise SearchFailureError(
+            "halving exhausted", last_trial=lam / DELTA, failed_condition="sufficient_decrease"
+        )
+
+
+@pytest.mark.parametrize("M", (0, 10))
+@pytest.mark.parametrize(
+    "problem, set_name",
+    (("powell20", "sph"), ("rosenbrock2", "ell"), ("wood4", "com"), ("quad_diag500", "box")),
+)
+def test_scs_without_momentum_is_spg_by_halving(monkeypatch, problem, set_name, M):
+    # beta0 = 0 and ALPHA = 1 make s = d: the endpoint x + d is feasible, so
+    # the search runs along x + t d from t = 1 by halving, as SPG would with
+    # lam *= DELTA in place of its interpolation
+    monkeypatch.setitem(SOLVERS, "spg_halving", _HalvingLineStep)
+    p = get_problem(problem)
+    fset = make_set(set_name, p.dim, ell_seed=p.dim)
+    cfg = SolverConfig(M=M, max_iters=400)
+    halving = solve("spg_halving", p, fset, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "ALPHA", 1.0)
+        scs = solve("scs", p, fset, dataclasses.replace(cfg, beta0=0.0), record_trace=True)
+    assert (scs.status, scs.iterations) == (halving.status, halving.iterations)
+    assert scs.final_x.tobytes() == halving.final_x.tobytes()
+    assert repr(scs.f_star) == repr(halving.f_star)
+    # the runs backtrack, and SPG's interpolation takes another path
+    assert any(r.t is not None and r.t < 1.0 for r in scs.trace)
+    spg = solve("spg", p, fset, cfg)
+    assert (spg.iterations, spg.final_x.tobytes()) != (scs.iterations, scs.final_x.tobytes())
 
 
 # ---------------------------------------------------------------------------

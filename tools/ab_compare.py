@@ -21,7 +21,9 @@ the change and as the change's ratio to the parent,
 
 and `change_faster`, the number of rounds whose change pass was the
 faster.  It exits 1, at the first pass that differs, unless every run of
-every pass ends in the status and iteration count of the first pass.
+every pass ends as in the first pass: in the same status and iteration
+count, with the same `repr(f_star)` and the same `final_x` bytes.  So any
+drift of a trajectory fails the comparison, not only a changed count.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ def run_pass(bench, plan, record_trace: bool, tau_grid):
     return wall, {(r.problem_name, r.set_name, r.solver_name, r.M): r for r in records}
 
 
+def outcome(r) -> tuple:
+    """How a run ended: status, iterations, repr(f_star), final_x bytes."""
+    final_x = None if r.final_x is None else r.final_x.tobytes()
+    return r.status, r.iterations, repr(r.f_star), final_x
+
+
 def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
     """Alternating passes of both sides; the timings, or the first mismatch."""
     plans = {}
@@ -84,13 +92,13 @@ def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
             wall, runs = run_pass(
                 packages[side].bench, plans[side], workload.record_trace, harness.TAU_GRID
             )
-            outcome = {key: (r.status, r.iterations) for key, r in runs.items()}
+            ended = {key: outcome(r) for key, r in runs.items()}
             if reference is None:
-                reference = outcome
-            if outcome != reference:
-                keys = reference.keys() | outcome.keys()
-                key = min(k for k in keys if reference.get(k) != outcome.get(k))
-                return {"mismatch": (i, side, key, reference.get(key), outcome.get(key))}
+                reference = ended
+            if ended != reference:
+                keys = reference.keys() | ended.keys()
+                key = min(k for k in keys if reference.get(k) != ended.get(k))
+                return {"mismatch": (i, side, key, reference.get(key), ended.get(key))}
             if i == 0:
                 continue
             walls[side].append(wall)
@@ -136,10 +144,14 @@ def main(argv=None) -> int:
     result = compare(packages, harness, workload, args.seed, args.rounds)
     if "mismatch" in result:
         i, side, key, expected, got = result["mismatch"]
-        print(
-            f"round {i}, {side}: run {key} ended {got}, in the first pass {expected}",
-            file=sys.stderr,
-        )
+        ended, first = (o and o[:2] for o in (got, expected))  # status, iterations
+        if ended != first:
+            what = f"ended {ended}, in the first pass {first}"
+        elif got[2] != expected[2]:
+            what = f"ended {ended} with f_star {got[2]}, in the first pass {expected[2]}"
+        else:
+            what = f"ended {ended} with final_x bytes unlike the first pass's"
+        print(f"round {i}, {side}: run {key} {what}", file=sys.stderr)
         return 1
     print(f"# workload {args.workload}, {result['runs']} runs, {args.rounds} rounds, "
           f"seed {args.seed}")
