@@ -4,9 +4,10 @@ A curve is stored as (x, d, s): base point, primary direction and secondary
 direction.  In monomial form it is x + t d + t^2 (s - d); the equivalent
 Bernstein form has control points P0 = x, P1 = x + d/2, P2 = x + s, so
 gamma(t) lies in their convex hull for every t in [0, 1], and s = d gives
-the straight line x + t d exactly.  A curve builds its endpoint P2 once, as
-x + d + (s - d), the monomial form at t = 1; `eval(1.0)` returns that array,
-and every check of the endpoint tests it.  The SCS step hands only an
+the straight line x + t d exactly.  A curve builds s - d once, and its
+endpoint P2 once, as x + d + (s - d), the monomial form at t = 1;
+`eval(1.0)` returns that array, every check of the endpoint tests it, and
+every trial t < 1 reuses that s - d.  The SCS step hands only an
 infeasible P2 to `feasibility_certificate` and the momentum reduction, which
 then tries smaller weights only.
 """
@@ -14,7 +15,6 @@ then tries smaller weights only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,26 +24,28 @@ from .sets import FEAS_TOL, ConvexFeasibleSet
 Vector = np.ndarray
 
 
-@dataclass(frozen=True)
 class QuadraticCurve:
     """Quadratic Bezier search curve through x with initial velocity d."""
 
-    x: Vector
-    d: Vector
-    s: Vector
-    #: the endpoint gamma(1), built at construction as x + d + (s - d)
-    p2: Vector = field(init=False, repr=False, compare=False)
+    __slots__ = ("x", "d", "s", "p2", "_s_minus_d")
 
-    def __post_init__(self):
-        # the monomial form at t = 1, since 1.0 * v is v, bit for bit
-        object.__setattr__(self, "p2", self.x + self.d + (self.s - self.d))
+    def __init__(self, x: Vector, d: Vector, s: Vector):
+        self.x = x
+        self.d = d
+        self.s = s
+        self._s_minus_d = s - d
+        #: the endpoint gamma(1), the monomial form at t = 1, since 1.0 * v is v
+        self.p2 = x + d + self._s_minus_d
+
+    def __repr__(self) -> str:
+        return f"QuadraticCurve(x={self.x!r}, d={self.d!r}, s={self.s!r})"
 
     def eval(self, t: float) -> Vector:
         if t == 1.0:  # every search's first trial
             return self.p2
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"curve parameter t = {t} outside [0, 1]")
-        return self.x + t * self.d + (t * t) * (self.s - self.d)
+        return self.x + t * self.d + (t * t) * self._s_minus_d
 
     def is_straight_line(self) -> bool:
         return self.s.shape == self.d.shape and bool((self.s == self.d).all())

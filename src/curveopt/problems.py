@@ -44,68 +44,100 @@ class SmoothProblem:
 # objective definitions
 
 
-def _rosenbrock_f(x):
-    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+def _on_floats(body):
+    """The oracle `x -> body(x0, x1, ...)`, run on x's entries as Python floats.
+
+    Only for formulas that do not divide.  A Python float rounds + - * / as
+    a numpy float64 scalar does, and both take ** from libm, so the result
+    is bit for bit the one on numpy's scalars, without numpy's cost per
+    scalar operation.  Python raises where numpy returns inf or nan in two
+    places: a power that overflows, and division by zero.  On OverflowError
+    the body runs again on numpy's scalars, which return inf with a
+    RuntimeWarning.  A square stays `** 2`: `t * t` rounds differently from
+    `t ** 2` at about one value in a thousand.
+    """
+
+    def oracle(x):
+        try:
+            return body(*x.tolist())
+        except OverflowError:
+            return body(*x)
+
+    return oracle
 
 
-def _rosenbrock_grad(x):
+@_on_floats
+def _rosenbrock_f(x0, x1):
+    return 100.0 * (x1 - x0**2) ** 2 + (1.0 - x0) ** 2
+
+
+@_on_floats
+def _rosenbrock_grad(x0, x1):
     return np.array(
         [
-            -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
-            200.0 * (x[1] - x[0] ** 2),
+            -400.0 * x0 * (x1 - x0**2) - 2.0 * (1.0 - x0),
+            200.0 * (x1 - x0**2),
         ]
     )
 
 
 def _chained_rosenbrock(scale):
     def f(x):
-        r = x[1:] - x[:-1] ** 2
-        return scale * float(100.0 * _sum(r**2) + _sum((1.0 - x[:-1]) ** 2))
+        head = x[:-1]
+        r = x[1:] - head**2
+        return scale * float(100.0 * _sum(r**2) + _sum((1.0 - head) ** 2))
 
     def grad(x):
-        r = x[1:] - x[:-1] ** 2
+        head = x[:-1]
+        r = x[1:] - head**2
         g = np.zeros(x.shape)
-        g[:-1] += -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+        g[:-1] += -400.0 * head * r - 2.0 * (1.0 - head)
         g[1:] += 200.0 * r
         return scale * g
 
     return f, grad
 
 
-def _beale_f(x):
-    t1 = 1.5 - x[0] + x[0] * x[1]
-    t2 = 2.25 - x[0] + x[0] * x[1] ** 2
-    t3 = 2.625 - x[0] + x[0] * x[1] ** 3
+@_on_floats
+def _beale_f(x0, x1):
+    t1 = 1.5 - x0 + x0 * x1
+    t2 = 2.25 - x0 + x0 * x1**2
+    t3 = 2.625 - x0 + x0 * x1**3
     return t1**2 + t2**2 + t3**2
 
 
-def _beale_grad(x):
-    t1 = 1.5 - x[0] + x[0] * x[1]
-    t2 = 2.25 - x[0] + x[0] * x[1] ** 2
-    t3 = 2.625 - x[0] + x[0] * x[1] ** 3
-    g0 = 2.0 * t1 * (x[1] - 1.0) + 2.0 * t2 * (x[1] ** 2 - 1.0) + 2.0 * t3 * (x[1] ** 3 - 1.0)
-    g1 = 2.0 * t1 * x[0] + 2.0 * t2 * 2.0 * x[0] * x[1] + 2.0 * t3 * 3.0 * x[0] * x[1] ** 2
+@_on_floats
+def _beale_grad(x0, x1):
+    t1 = 1.5 - x0 + x0 * x1
+    t2 = 2.25 - x0 + x0 * x1**2
+    t3 = 2.625 - x0 + x0 * x1**3
+    g0 = 2.0 * t1 * (x1 - 1.0) + 2.0 * t2 * (x1**2 - 1.0) + 2.0 * t3 * (x1**3 - 1.0)
+    g1 = 2.0 * t1 * x0 + 2.0 * t2 * 2.0 * x0 * x1 + 2.0 * t3 * 3.0 * x0 * x1**2
     return np.array([g0, g1])
 
 
-def _wood_f(x):
+@_on_floats
+def _wood_f(x0, x1, x2, x3):
     return (
-        100.0 * (x[1] - x[0] ** 2) ** 2
-        + (1.0 - x[0]) ** 2
-        + 90.0 * (x[3] - x[2] ** 2) ** 2
-        + (1.0 - x[2]) ** 2
-        + 10.0 * (x[1] + x[3] - 2.0) ** 2
-        + 0.1 * (x[1] - x[3]) ** 2
+        100.0 * (x1 - x0**2) ** 2
+        + (1.0 - x0) ** 2
+        + 90.0 * (x3 - x2**2) ** 2
+        + (1.0 - x2) ** 2
+        + 10.0 * (x1 + x3 - 2.0) ** 2
+        + 0.1 * (x1 - x3) ** 2
     )
 
 
-def _wood_grad(x):
-    g = np.zeros(4)
-    g[0] = -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0])
-    g[1] = 200.0 * (x[1] - x[0] ** 2) + 20.0 * (x[1] + x[3] - 2.0) + 0.2 * (x[1] - x[3])
-    g[2] = -360.0 * x[2] * (x[3] - x[2] ** 2) - 2.0 * (1.0 - x[2])
-    g[3] = 180.0 * (x[3] - x[2] ** 2) + 20.0 * (x[1] + x[3] - 2.0) - 0.2 * (x[1] - x[3])
-    return g
+@_on_floats
+def _wood_grad(x0, x1, x2, x3):
+    return np.array(
+        [
+            -400.0 * x0 * (x1 - x0**2) - 2.0 * (1.0 - x0),
+            200.0 * (x1 - x0**2) + 20.0 * (x1 + x3 - 2.0) + 0.2 * (x1 - x3),
+            -360.0 * x2 * (x3 - x2**2) - 2.0 * (1.0 - x2),
+            180.0 * (x3 - x2**2) + 20.0 * (x1 + x3 - 2.0) - 0.2 * (x1 - x3),
+        ]
+    )
 
 
 def _diag_quadratic(n, center=None, scale=1.0):

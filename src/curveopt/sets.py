@@ -75,6 +75,8 @@ def make_sphere(n: int) -> ConvexFeasibleSet:
         nrm = math.sqrt(np.dot(x, x))
         if nrm <= radius:
             return np.array(x, dtype=float)
+        if not math.isfinite(nrm):  # NaN too, which fails the test above
+            raise ProjectionError("sphere projection: ||z|| is not finite")
         return (radius / nrm) * np.asarray(x)
 
     return ConvexFeasibleSet("sph", n, g, project)

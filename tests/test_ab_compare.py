@@ -9,11 +9,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_compare.py"
 
 
-def ab_compare(parent, change):
-    """tools/ab_compare.py on the exact workload cut to rosenbrock2, 2 rounds."""
+def ab_compare(parent, change, workload="exact", problems="rosenbrock2"):
+    """tools/ab_compare.py on a workload cut to `problems`, 2 rounds."""
     return subprocess.run(
-        [sys.executable, str(TOOL), str(parent), str(change), "--workload", "exact",
-         "--problems", "rosenbrock2", "--rounds", "2"],
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload", workload,
+         "--problems", problems, "--rounds", "2"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -23,11 +23,32 @@ def ab_compare(parent, change):
 def test_a_checkout_against_itself():
     res = ab_compare(ROOT, ROOT)
     assert res.returncode == 0, res.stderr
-    header, median, fastest, faster = res.stdout.splitlines()
+    header, median, fastest, faster, rosenbrock2 = res.stdout.splitlines()
     assert header == "# workload exact, 12 runs, 2 rounds, seed 0"
     assert median.startswith("pass_median_s parent ")
     assert fastest.startswith("fastest_elapsed_s parent ")
     assert faster in {f"change_faster {n} of 2" for n in range(3)}
+    # one problem holds every run, so its line repeats the sums above
+    assert rosenbrock2 == fastest.replace("fastest_elapsed_s", "rosenbrock2 fastest_elapsed_s")
+
+
+def test_each_problem_gets_its_own_ratio_and_a_pass_that_solves_nothing_compares():
+    # every chnrosnb4 run on com ends iter_limit, which leaves the profiles
+    # without an instance; wood4's runs are solved
+    for names, runs in ((["chnrosnb4"], 4), (["chnrosnb4", "wood4"], 8)):
+        res = ab_compare(ROOT, ROOT, workload="com", problems=",".join(names))
+        assert res.returncode == 0, res.stderr
+        header, median, fastest, faster, *per_problem = res.stdout.splitlines()
+        assert header == f"# workload com, {runs} runs, 2 rounds, seed 0"
+        assert median.startswith("pass_median_s parent ")
+        assert fastest.startswith("fastest_elapsed_s parent ")
+        assert faster.startswith("change_faster ")
+        assert [line.split(" parent ")[0] for line in per_problem] == [
+            f"{name} fastest_elapsed_s" for name in names
+        ]
+        # "... parent P change C ratio R": the problems' times add up
+        parent_s = [float(line.split()[-5]) for line in per_problem]
+        assert sum(parent_s) == pytest.approx(float(fastest.split()[-5]), abs=1e-4 * runs)
 
 
 def test_a_run_that_ends_otherwise_fails_the_comparison(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -173,10 +175,80 @@ def plain_tridia(n, scale):
     return f, grad
 
 
+def plain_rosenbrock_f(x):
+    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+def plain_rosenbrock_grad(x):
+    return np.array(
+        [
+            -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+            200.0 * (x[1] - x[0] ** 2),
+        ]
+    )
+
+
+def plain_chnrosnb(scale):
+    def f(x):
+        r = x[1:] - x[:-1] ** 2
+        return scale * float(100.0 * (r**2).sum() + ((1.0 - x[:-1]) ** 2).sum())
+
+    def grad(x):
+        r = x[1:] - x[:-1] ** 2
+        g = np.zeros(x.shape)
+        g[:-1] += -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+        g[1:] += 200.0 * r
+        return scale * g
+
+    return f, grad
+
+
+def plain_beale_f(x):
+    t1 = 1.5 - x[0] + x[0] * x[1]
+    t2 = 2.25 - x[0] + x[0] * x[1] ** 2
+    t3 = 2.625 - x[0] + x[0] * x[1] ** 3
+    return t1**2 + t2**2 + t3**2
+
+
+def plain_beale_grad(x):
+    t1 = 1.5 - x[0] + x[0] * x[1]
+    t2 = 2.25 - x[0] + x[0] * x[1] ** 2
+    t3 = 2.625 - x[0] + x[0] * x[1] ** 3
+    g0 = 2.0 * t1 * (x[1] - 1.0) + 2.0 * t2 * (x[1] ** 2 - 1.0) + 2.0 * t3 * (x[1] ** 3 - 1.0)
+    g1 = 2.0 * t1 * x[0] + 2.0 * t2 * 2.0 * x[0] * x[1] + 2.0 * t3 * 3.0 * x[0] * x[1] ** 2
+    return np.array([g0, g1])
+
+
+def plain_wood_f(x):
+    return (
+        100.0 * (x[1] - x[0] ** 2) ** 2
+        + (1.0 - x[0]) ** 2
+        + 90.0 * (x[3] - x[2] ** 2) ** 2
+        + (1.0 - x[2]) ** 2
+        + 10.0 * (x[1] + x[3] - 2.0) ** 2
+        + 0.1 * (x[1] - x[3]) ** 2
+    )
+
+
+def plain_wood_grad(x):
+    g = np.zeros(4)
+    g[0] = -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0])
+    g[1] = 200.0 * (x[1] - x[0] ** 2) + 20.0 * (x[1] + x[3] - 2.0) + 0.2 * (x[1] - x[3])
+    g[2] = -360.0 * x[2] * (x[3] - x[2] ** 2) - 2.0 * (1.0 - x[2])
+    g[3] = 180.0 * (x[3] - x[2] ** 2) + 20.0 * (x[1] + x[3] - 2.0) - 0.2 * (x[1] - x[3])
+    return g
+
+
 #: f and grad with every expression written where it is used and every
-#: constant product left unfolded: the references for the oracles that share
-#: subexpressions or fold constants at build time
+#: constant product left unfolded, the closed forms on numpy's float64
+#: scalars: the references for the oracles that share subexpressions, fold
+#: constants at build time or evaluate on Python floats
 PLAIN_ORACLES = {
+    "rosenbrock2": (plain_rosenbrock_f, plain_rosenbrock_grad),
+    "beale2": (plain_beale_f, plain_beale_grad),
+    "wood4": (plain_wood_f, plain_wood_grad),
+    "chnrosnb4": plain_chnrosnb(1.0),
+    "chnrosnb100": plain_chnrosnb(1.0 / 100.0),
     "quad_diag50": plain_diag_quadratic(50),
     "quad_diag500": plain_diag_quadratic(500, scale=1.0 / 500.0),
     "quad_shift50": plain_diag_quadratic(50, center=np.tile([2.0, -2.0], 25)),
@@ -195,6 +267,72 @@ def test_oracles_match_the_plain_formulas_bit_for_bit(name):
     for x in points:
         assert np.float64(p.f(x)).tobytes() == np.float64(f(x)).tobytes()
         assert p.grad(x).tobytes() == grad(x).tobytes()
+
+
+def same_bits(got, want):
+    """Byte equality, but a NaN of `want` is matched by any NaN: inf - inf
+    may carry either sign bit."""
+    got = np.atleast_1d(np.asarray(got, dtype=float))
+    want = np.atleast_1d(np.asarray(want, dtype=float))
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+#: ±0, ±inf, a square that overflows (1e200) and a cube that does (1e103)
+SPECIAL_ENTRIES = (0.0, -0.0, 1.5, np.inf, -np.inf, 1e200, -1e200, 1e103, -1e103)
+
+
+def special_points(n):
+    """Every tuple of SPECIAL_ENTRIES for n <= 4, else each entry placed at
+    the first, a middle and the last coordinate of a random point."""
+    if n <= 4:
+        return [np.array(x) for x in itertools.product(SPECIAL_ENTRIES, repeat=n)]
+    base = np.random.default_rng(12).uniform(-3.0, 3.0, n)
+    points = []
+    for value in SPECIAL_ENTRIES:
+        for i in (0, n // 2, n - 1):
+            x = base.copy()
+            x[i] = value
+            points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("name", ["rosenbrock2", "beale2", "wood4", "chnrosnb4", "chnrosnb100"])
+def test_oracles_match_the_plain_formulas_at_special_entries(name):
+    # Python floats raise OverflowError where a numpy scalar power returns
+    # inf; the oracles must still give numpy's value, and never raise
+    p = get_problem(name)
+    f, grad = PLAIN_ORACLES[name]
+    with np.errstate(all="ignore"):
+        for x in special_points(p.dim):
+            assert same_bits(p.f(x), f(x)), x
+            assert same_bits(p.grad(x), grad(x)), x
+
+
+@pytest.mark.parametrize("name", ["rosenbrock2", "beale2", "wood4"])
+def test_closed_forms_match_the_plain_formulas_at_many_points(name):
+    # t * t rounds unlike t ** 2 at about 1 point in 1,000, and fewer of
+    # those reach f: beale2's t1**2 as t1 * t1 changes f at 15 in 100,000
+    p = get_problem(name)
+    f, grad = PLAIN_ORACLES[name]
+    rng = np.random.default_rng(13)
+    for x in rng.uniform(-3.0, 3.0, (20000, p.dim)):
+        assert np.float64(p.f(x)).tobytes() == np.float64(f(x)).tobytes(), x
+        assert p.grad(x).tobytes() == grad(x).tobytes(), x
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [
+        ("rosenbrock2", [1e200, 1.0]),
+        ("beale2", [1e200, 1e200]),
+        ("beale2", [1.0, 1e103]),
+        ("wood4", [1.0, 1.0, 1e200, 1.0]),
+    ],
+)
+def test_check_gradient_at_an_overflowing_point_raises(name, x):
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="analytic gradient"):
+        check_gradient(get_problem(name), np.array(x), 1e-6)
 
 
 def square_norm_with_gradient(grad):

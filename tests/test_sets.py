@@ -86,8 +86,26 @@ def test_sphere_matches_the_centred_formulas(n):
     with np.errstate(over="ignore"):
         for x in points:
             assert np.array_equal(s.g(x), g(x))
-            assert np.array_equal(s.project(x), project(x))
-            assert np.array_equal(s.project(x.tolist()), project(x.tolist()))
+            for z in (x, x.tolist()):
+                if math.isfinite(x.dot(x)):
+                    assert np.array_equal(s.project(z), project(z))
+                else:  # the norm of an exterior point must be finite
+                    with pytest.raises(ProjectionError, match=SPHERE_NOT_FINITE):
+                        s.project(z)
+
+
+SPHERE_NOT_FINITE = r"^sphere projection: \|\|z\|\| is not finite$"
+
+
+@pytest.mark.parametrize("bad", (1e200, -1e200, np.inf, -np.inf, np.nan))
+@pytest.mark.parametrize("name", ("sph", "ell", "com"))
+def test_projection_of_a_point_whose_norm_is_not_finite_raises(name, bad):
+    # 1e200 is finite, but its square overflows, so the norm is inf too
+    fset = make_set(name, 2)
+    with np.errstate(over="ignore"), pytest.raises(ProjectionError) as raised:
+        fset.project([bad, 0.0])
+    if name == "sph":
+        assert raised.match(SPHERE_NOT_FINITE)
 
 
 # ---------------------------------------------------------------------------

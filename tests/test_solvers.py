@@ -9,7 +9,7 @@ from curve_geometry import halfspace_x1
 from curveopt import solvers
 from curveopt.bench import BenchPlan, run_plan
 from curveopt.curves import CurveDecision, QuadraticCurve, feasibility_certificate
-from curveopt.errors import ContractError, SearchFailureError
+from curveopt.errors import ContractError, ProjectionError, SearchFailureError
 from curveopt.problems import SmoothProblem, get_problem
 from curveopt.sets import FEAS_TOL, ConvexFeasibleSet, make_box, make_set
 from curveopt.solvers import (
@@ -535,6 +535,19 @@ def test_non_finite_start_is_rejected_before_a_run(solver, set_name, where):
     with pytest.raises(ValueError, match=r"the start of ss2 has a non-finite entry"):
         solve(solver, p, make_set(set_name, 2), x0=x0)
     assert calls == []
+
+
+@pytest.mark.parametrize("solver", ("scs", "spg"))
+def test_a_step_the_sphere_cannot_project_stops_the_run(solver):
+    # x - grad = (1e200, 0) has a norm whose square overflows; projected to
+    # 0, it would end the run `stationary` at iterate 0
+    p = SmoothProblem(
+        "push2", 2, lambda x: float(-1e200 * x[0]), lambda x: np.array([-1e200, 0.0]), np.zeros(2)
+    )
+    with np.errstate(over="ignore"), pytest.raises(
+        ProjectionError, match=r"^sphere projection: \|\|z\|\| is not finite$"
+    ):
+        solve(solver, p, make_set("sph", 2))
 
 
 @pytest.mark.parametrize(

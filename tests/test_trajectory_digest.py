@@ -16,6 +16,10 @@ def load_tool():
 #: purpose re-pins it and says so.
 ROSENBROCK2_DIGEST = "10d4ea59a700bc02df0c557fa828863d585437667dc5ea6c6d2530b48ed92b80"
 
+#: beale2's desk-plan digest, machine-independent for the same reason; it
+#: pins the trajectories of an oracle evaluated on Python floats
+BEALE2_DIGEST = "e31b833d4648511dc0be0471536183c4086f870e0b0ae85e39e614d18f52c358"
+
 
 def test_digest_of_one_problem_is_complete_and_repeatable():
     # the bit-identity gate runs on the library's current API: the desk
@@ -27,3 +31,9 @@ def test_digest_of_one_problem_is_complete_and_repeatable():
     assert lacking == 0
     assert hexdigest == ROSENBROCK2_DIGEST
     assert tool.digest(("rosenbrock2",))[0] == hexdigest
+
+
+def test_digest_of_beale2_is_pinned():
+    hexdigest, runs, entries, lacking = load_tool().digest(("beale2",))
+    assert (runs, entries, lacking) == (16, 885, 0)
+    assert hexdigest == BEALE2_DIGEST

@@ -9,7 +9,8 @@ of the change's `deskbench/harness.py` through each of them in turn: the
 change first in even rounds, the parent first in odd ones.  Round 0 warms
 both sides up and is not timed.  A pass is what `deskbench` times:
 `run_plan`, the records CSV round trip and the profiles on `time` and
-`iters`.  `--problems` keeps only the named problems of the workload.
+`iters`; a pass in which no run ends solved has no profile to draw and
+skips them.  `--problems` keeps only the named problems of the workload.
 
 Both sides share one process, so a slowdown of the machine that lasts
 seconds to minutes hits their passes alike, where between two `deskbench`
@@ -20,8 +21,9 @@ the change and as the change's ratio to the parent,
 - `fastest_elapsed_s`: the sum over runs of each run's fastest `elapsed`,
 
 and `change_faster`, the number of rounds whose change pass was the
-faster.  It exits 1, at the first pass that differs, unless every run of
-every pass ends as in the first pass: in the same status and iteration
+faster, then `fastest_elapsed_s` once per problem, to show where a gain
+comes from.  It exits 1, at the first pass that differs, unless every run
+of every pass ends as in the first pass: in the same status and iteration
 count, with the same `repr(f_star)` and the same `final_x` bytes.  So any
 drift of a trajectory fails the comparison, not only a changed count.
 """
@@ -65,8 +67,11 @@ def run_pass(bench, plan, record_trace: bool, tau_grid):
     t0 = time.perf_counter()
     records = bench.run_plan(plan, record_trace=record_trace)
     loaded = bench.records_from_csv(bench.records_to_csv(records))
-    for metric in ("time", "iters"):
-        bench.performance_profile(loaded, metric, tau_grid)
+    try:
+        for metric in ("time", "iters"):
+            bench.performance_profile(loaded, metric, tau_grid)
+    except bench.EmptyProfileError:  # no run was solved, so there is no profile
+        pass
     wall = time.perf_counter() - t0
     return wall, {(r.problem_name, r.set_name, r.solver_name, r.M): r for r in records}
 
@@ -104,12 +109,24 @@ def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
             walls[side].append(wall)
             for key, r in runs.items():
                 fastest[side][key] = min(r.elapsed, fastest[side].get(key, math.inf))
+    by_problem = {
+        name: {
+            side: sum(t for key, t in fastest[side].items() if key[0] == name) for side in SIDES
+        }
+        for name in workload.problems
+    }
     return {
         "runs": len(reference),
         "pass_median_s": {side: statistics.median(walls[side]) for side in SIDES},
         "fastest_elapsed_s": {side: sum(fastest[side].values()) for side in SIDES},
         "change_faster": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+        "problem_fastest_elapsed_s": by_problem,
     }
+
+
+def ratio_line(label: str, seconds: dict) -> str:
+    parent, change = (seconds[side] for side in SIDES)
+    return f"{label} parent {parent:.4f} change {change:.4f} ratio {change / parent:.3f}"
 
 
 def main(argv=None) -> int:
@@ -156,9 +173,10 @@ def main(argv=None) -> int:
     print(f"# workload {args.workload}, {result['runs']} runs, {args.rounds} rounds, "
           f"seed {args.seed}")
     for metric in ("pass_median_s", "fastest_elapsed_s"):
-        parent, change = (result[metric][side] for side in SIDES)
-        print(f"{metric} parent {parent:.4f} change {change:.4f} ratio {change / parent:.3f}")
+        print(ratio_line(metric, result[metric]))
     print(f"change_faster {result['change_faster']} of {args.rounds}")
+    for name, seconds in result["problem_fastest_elapsed_s"].items():
+        print(ratio_line(f"{name} fastest_elapsed_s", seconds))
     return 0
 
 
