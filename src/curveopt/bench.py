@@ -1,14 +1,14 @@
 """Benchmark harness: plans, run records, performance profiles.
 
-A plan names problems, sets and (solver, M) pairs; running it produces one
-RunRecord per (solver, problem, set) and persists them as CSV.  Profiles
-follow the standard best-ratio cumulative-distribution construction over
-the instances solved by at least one solver.
+A plan names problems, sets, (solver, M) pairs and a seed; running it
+produces one RunRecord per (solver, problem, set), one run after another
+in the calling process, and persists them as CSV.  Profiles follow the
+standard best-ratio cumulative-distribution construction over the
+instances solved by at least one solver.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import math
@@ -165,14 +165,13 @@ def parse_plan(text: str) -> BenchPlan:
     return BenchPlan(problems=problems, sets=sets, solvers=solvers, overrides=overrides, seed=seed)
 
 
-def _run_one(args):
-    problem_name, set_name, solver, m, overrides, seed, record_trace = args
+def _run_one(problem_name, set_name, solver, m, plan, record_trace):
     p = get_problem(problem_name)
-    cfg = SolverConfig(**{**overrides, "M": m})
+    cfg = SolverConfig(**{**plan.overrides, "M": m})
     t0 = time.perf_counter()
     try:
         # one seeded ellipsoid per (seed, dimension)
-        fset = make_set(set_name, p.dim, ell_seed=seed + p.dim)
+        fset = make_set(set_name, p.dim, ell_seed=plan.seed + p.dim)
         return solve(solver, p, fset, cfg, record_trace=record_trace)
     except Exception as exc:  # one failed run must not abort the plan
         return RunRecord(
@@ -192,32 +191,26 @@ def _run_one(args):
         )
 
 
-def run_plan(
-    plan: BenchPlan, jobs: int = 1, record_trace: bool | str = False
-) -> list[RunRecord]:
-    """Execute every (solver, problem, set) combination of the plan.
+def run_plan(plan: BenchPlan, record_trace: bool | str = False) -> list[RunRecord]:
+    """Execute every (solver, problem, set) combination of the plan, one
+    after another in this process.
 
-    The runs go to `jobs` worker processes when `jobs` > 1.  `record_trace`
-    is False for no traces, True for scalar traces or "vectors" for traces
-    that also hold each iteration's arrays.  Any other trace mode, and a
-    `jobs` that is not a positive integer, raise ValueError before a run
-    starts.  A run that raises becomes a record with status `STATUS_ERROR`;
-    the other runs still complete.
+    `record_trace` is False for no traces, True for scalar traces or
+    "vectors" for traces that also hold each iteration's arrays; any other
+    trace mode raises ValueError before a run starts.  A run that raises
+    becomes a record with status `STATUS_ERROR`; the other runs still
+    complete.
     """
     plan.validate()
-    jobs = as_integer(jobs, "jobs", least=1)
     trace_keeps_vectors(record_trace)
-    tasks = [
-        (pn, sn, solver, m, plan.overrides, plan.seed, record_trace)
+    records = [
+        _run_one(
+            problem_name=pn, set_name=sn, solver=solver, m=m, plan=plan, record_trace=record_trace
+        )
         for pn in plan.problems
         for sn in plan.sets
         for (solver, m) in plan.solvers
     ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one, tasks))
-    else:
-        records = [_run_one(t) for t in tasks]
     records.sort(key=record_sort_key)
     return records
 

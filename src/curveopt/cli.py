@@ -1,14 +1,14 @@
 """Command-line benchmark harness.
 
-    bench run --plan plan.txt --out results/ [--jobs N] [--seed S]
+    bench run --plan plan.txt --out results/
     bench profile --records results/records.csv --metric time --out profile.csv
+                  [--tau-max T] [--tau-points N]
     bench boundary --records results/records.csv [--tol T]
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 import pathlib
 
@@ -46,16 +46,10 @@ def main():
 @main.command("run")
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option(
-    "--seed", default=None, type=click.IntRange(min=0), help="Override the plan's seed."
-)
-def run_cmd(plan_path, out_dir, jobs, seed):
+def run_cmd(plan_path, out_dir):
     """Run a benchmark plan and write records.csv."""
     try:
         plan = parse_plan(pathlib.Path(plan_path).read_text())
-        if seed is not None:
-            plan = dataclasses.replace(plan, seed=seed)
         plan.validate()
     except PlanError as exc:
         raise click.BadParameter(str(exc), param_hint="'--plan'") from exc
@@ -68,7 +62,7 @@ def run_cmd(plan_path, out_dir, jobs, seed):
     except OSError as exc:
         raise click.BadParameter(str(exc), param_hint="'--out'") from exc
     with records_file:
-        records = run_plan(plan, jobs=jobs)
+        records = run_plan(plan)
         records_file.write(records_to_csv(records))
     ok = sum(1 for r in records if is_success(r))
     click.echo(f"{len(records)} runs ({ok} stationary) -> {target}")

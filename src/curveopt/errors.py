@@ -1,6 +1,5 @@
 """Exception types shared across the library, and `as_integer`, the one
-check of an integer argument (a dimension, `M`, `max_iters`, a seed or
-`jobs`)."""
+check of an integer argument (a dimension, `M`, `max_iters` or a seed)."""
 
 import operator
 

@@ -22,7 +22,9 @@ _sum = np.add.reduce
 
 @dataclass(frozen=True)
 class SmoothProblem:
-    """A differentiable objective f with gradient oracle and start point."""
+    """A differentiable objective f with gradient oracle and start point.
+
+    `f` and `grad` raise ValueError for a point not of shape (dim,)."""
 
     name: str
     dim: int
@@ -31,10 +33,16 @@ class SmoothProblem:
     start: Vector = field(repr=False)
 
     def f(self, x: Vector) -> float:
-        return float(self.eval_f(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"point for {self.name} has shape {x.shape}")
+        return float(self.eval_f(x))
 
     def grad(self, x: Vector) -> Vector:
-        g = np.asarray(self.eval_grad(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"point for {self.name} has shape {x.shape}")
+        g = np.asarray(self.eval_grad(x), dtype=float)
         if g.shape != (self.dim,):
             raise ValueError(f"gradient of {self.name} has shape {g.shape}")
         return g

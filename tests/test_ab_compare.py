@@ -1,6 +1,9 @@
+import dataclasses
+import importlib.util
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -23,13 +26,61 @@ def ab_compare(parent, change, workload="exact", problems="rosenbrock2"):
 def test_a_checkout_against_itself():
     res = ab_compare(ROOT, ROOT)
     assert res.returncode == 0, res.stderr
-    header, median, fastest, faster, rosenbrock2 = res.stdout.splitlines()
+    header, fastest, faster, rosenbrock2 = res.stdout.splitlines()
     assert header == "# workload exact, 12 runs, 2 rounds, seed 0"
-    assert median.startswith("pass_median_s parent ")
     assert fastest.startswith("fastest_elapsed_s parent ")
     assert faster in {f"change_faster {n} of 2" for n in range(3)}
     # one problem holds every run, so its line repeats the sums above
     assert rosenbrock2 == fastest.replace("fastest_elapsed_s", "rosenbrock2 fastest_elapsed_s")
+
+
+def test_change_faster_counts_rounds_by_summed_elapsed():
+    # per pass, the elapsed of the runs (beale2, rosenbrock2) on each side;
+    # pass 0 is the untimed warm-up round
+    elapsed = {
+        "parent": [(9.0, 9.0), (0.2, 0.8), (0.5, 0.5), (0.5, 0.5)],
+        "change": [(9.0, 9.0), (0.3, 0.6), (0.4, 0.6), (0.7, 0.4)],
+    }
+
+    @dataclasses.dataclass
+    class Plan:
+        problems: tuple
+
+    def package(side):
+        passes = iter(elapsed[side])
+
+        def run_plan(plan, record_trace):
+            return [
+                types.SimpleNamespace(
+                    problem_name=name, set_name="box", solver_name="scs", M=0,
+                    status="stationary", iterations=1, f_star=0.0, final_x=None, elapsed=t,
+                )
+                for name, t in zip(plan.problems, next(passes))
+            ]
+
+        bench = types.SimpleNamespace(
+            BenchPlan=Plan,
+            run_plan=run_plan,
+            records_to_csv=lambda records: records,
+            records_from_csv=lambda records: records,
+            performance_profile=lambda records, metric, tau_grid: None,
+            EmptyProfileError=ValueError,
+        )
+        return types.SimpleNamespace(bench=bench)
+
+    spec = importlib.util.spec_from_file_location("ab_compare", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    problems = ("beale2", "rosenbrock2")
+    workload = types.SimpleNamespace(
+        problems=problems, record_trace=False, plan=lambda seed: Plan(problems)
+    )
+    harness = types.SimpleNamespace(TAU_GRID=(1.0,))
+    result = tool.compare({side: package(side) for side in tool.SIDES}, harness, workload, 0, 3)
+    # lower in sum in round 1 (though slower on beale2), tied in round 2,
+    # higher in round 3
+    assert result["change_faster"] == 1
+    assert result["fastest_elapsed_s"] == pytest.approx({"parent": 0.7, "change": 0.7})
 
 
 def test_each_problem_gets_its_own_ratio_and_a_pass_that_solves_nothing_compares():
@@ -38,9 +89,8 @@ def test_each_problem_gets_its_own_ratio_and_a_pass_that_solves_nothing_compares
     for names, runs in ((["chnrosnb4"], 4), (["chnrosnb4", "wood4"], 8)):
         res = ab_compare(ROOT, ROOT, workload="com", problems=",".join(names))
         assert res.returncode == 0, res.stderr
-        header, median, fastest, faster, *per_problem = res.stdout.splitlines()
+        header, fastest, faster, *per_problem = res.stdout.splitlines()
         assert header == f"# workload com, {runs} runs, 2 rounds, seed 0"
-        assert median.startswith("pass_median_s parent ")
         assert fastest.startswith("fastest_elapsed_s parent ")
         assert faster.startswith("change_faster ")
         assert [line.split(" parent ")[0] for line in per_problem] == [

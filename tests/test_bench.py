@@ -183,37 +183,6 @@ def test_plan_seed_message():
         plan.validate()
 
 
-def counted_plan(monkeypatch, calls):
-    """A one-run plan whose solver logs each run in `calls`, where building a
-    process pool fails the test."""
-
-    def counted(p, fset, cfg):
-        calls.append(p.name)
-        return SOLVERS["spg"](p, fset, cfg)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setitem(SOLVERS, "counted", counted)
-    monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", no_pool)
-    return BenchPlan(("rosenbrock2",), ("box",), (("counted", 0),), overrides={"max_iters": 5})
-
-
-@pytest.mark.parametrize("jobs", (0, -3, True, 2.5))
-def test_run_plan_rejects_jobs_before_any_run(jobs, monkeypatch):
-    calls = []
-    plan = counted_plan(monkeypatch, calls)
-    with pytest.raises(ValueError, match=rf"^jobs must be a positive integer, not {jobs!r}$"):
-        run_plan(plan, jobs=jobs)
-    assert calls == []
-
-
-def test_run_plan_takes_a_numpy_integer_jobs(monkeypatch):
-    calls = []
-    records = run_plan(counted_plan(monkeypatch, calls), jobs=np.int64(1))
-    assert calls == ["rosenbrock2"] and len(records) == 1
-
-
 # ---------------------------------------------------------------------------
 # running plans
 
@@ -244,23 +213,6 @@ def test_run_plan_final_points_feasible(small_records):
         assert r.max_g_final <= 1e-8
 
 
-def test_run_plan_parallel_matches_serial(small_records):
-    plan = parse_plan(PLAN_TEXT)
-    par = run_plan(plan, jobs=2)
-    assert len(par) == len(small_records)
-    for a, b in zip(small_records, par):
-        assert (a.solver_name, a.M, a.problem_name, a.set_name) == (
-            b.solver_name,
-            b.M,
-            b.problem_name,
-            b.set_name,
-        )
-        assert a.status == b.status
-        assert a.iterations == b.iterations
-        assert a.f_star == b.f_star
-        assert np.array_equal(a.final_x, b.final_x)
-
-
 def test_run_plan_records_a_raising_run_and_finishes_the_rest(monkeypatch):
     def boom(p, fset, cfg):
         raise RuntimeError(f"boom on {p.name}")
@@ -272,7 +224,7 @@ def test_run_plan_records_a_raising_run_and_finishes_the_rest(monkeypatch):
         solvers=(("boom", 3), ("spg", 0)),
         overrides={"max_iters": 50},
     )
-    records = run_plan(plan, jobs=1)
+    records = run_plan(plan)
     assert len(records) == 4
     failed = [r for r in records if r.solver_name == "boom"]
     assert [r.problem_name for r in failed] == ["beale2", "rosenbrock2"]
@@ -303,7 +255,7 @@ def test_run_plan_records_a_failed_set_build_and_finishes_the_rest(monkeypatch):
 
     monkeypatch.setattr(bench, "make_set", fragile_make_set)
     plan = BenchPlan(("beale2",), ("box", "ell"), (("scs", 0), ("spg", 0)))
-    records = run_plan(plan, jobs=1)
+    records = run_plan(plan)
     assert [(r.set_name, r.solver_name) for r in records] == [
         ("box", "scs"), ("box", "spg"), ("ell", "scs"), ("ell", "spg"),
     ]
@@ -321,7 +273,7 @@ def test_run_plan_records_a_failed_projection_and_finishes_the_rest(monkeypatch)
     monkeypatch.setattr(curveopt.sets, "_ELL_MAX_ITERS", 0)
     monkeypatch.setattr(curveopt.sets, "_COM_MAX_ITERS", 0)
     plan = BenchPlan(("wood4",), ("box", "ell", "com"), (("scs", 0), ("spg", 0)))
-    records = run_plan(plan, jobs=1)
+    records = run_plan(plan)
     details = {
         "ell": "ProjectionError: ellipsoid projection: root finder did not converge",
         "com": "ProjectionError: composite projection: multiplier search did not converge",
@@ -567,26 +519,20 @@ def test_cli_end_to_end(tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["run", "--jobs", "-3"],
-        ["run", "--jobs", "0"],
         ["profile", "--tau-points", "0"],
         ["profile", "--tau-max", "0.5"],
         ["profile", "--tau-max", "nan"],
         ["profile", "--tau-max", "inf"],
-        ["run", "--seed", "-1"],
         ["boundary", "--tol", "-1"],
         ["boundary", "--tol", "nan"],
         ["boundary", "--tol", "inf"],
     ],
 )
 def test_cli_rejects_out_of_range_options(tmp_path, args):
-    plan_file = tmp_path / "plan.txt"
-    plan_file.write_text("problems = beale2\nsets = box\nsolvers = spg:0\n")
     records_csv = tmp_path / "records.csv"
-    records_csv.write_text(records_to_csv(run_plan(parse_plan(plan_file.read_text()))))
+    records_csv.write_text(records_to_csv(run_plan(BenchPlan(("beale2",), ("box",), (("spg", 0),)))))
     out = tmp_path / "out"
     inputs = {
-        "run": ["--plan", str(plan_file), "--out", str(out)],
         "profile": ["--records", str(records_csv), "--out", str(out)],
         "boundary": ["--records", str(records_csv)],
     }
@@ -596,31 +542,36 @@ def test_cli_rejects_out_of_range_options(tmp_path, args):
     assert not out.exists()
 
 
-def test_cli_seed_override(tmp_path):
-    runner = CliRunner()
+def test_plan_seed_changes_the_ell_runs(tmp_path):
+    # two plan files that differ only in seed build different ellipsoids
+    records = []
+    for seed in (1, 99):
+        plan_file = tmp_path / f"plan{seed}.txt"
+        plan_file.write_text(
+            f"problems = beale2\nsets = ell\nsolvers = spg:0\nseed = {seed}\nmax_iters = 200\n"
+        )
+        out = tmp_path / f"out{seed}"
+        res = CliRunner().invoke(cli_main, ["run", "--plan", str(plan_file), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        (r,) = records_from_csv((out / "records.csv").read_text())
+        records.append((r.f_star, r.iterations))
+    assert records[0] != records[1]
+
+
+def test_removed_run_options_are_unknown(tmp_path):
+    # a plan's runs come from its file alone, one after another
     plan_file = tmp_path / "plan.txt"
-    plan_file.write_text(
-        "problems = beale2\nsets = ell\nsolvers = spg:0\nseed = 1\nmax_iters = 200\n"
-    )
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert (
-        runner.invoke(
-            cli_main, ["run", "--plan", str(plan_file), "--out", str(out_a)]
-        ).exit_code
-        == 0
-    )
-    assert (
-        runner.invoke(
-            cli_main,
-            ["run", "--plan", str(plan_file), "--out", str(out_b), "--seed", "99"],
-        ).exit_code
-        == 0
-    )
-    # different seeds build different ellipsoids, so results differ
-    ra = records_from_csv((out_a / "records.csv").read_text())
-    rb = records_from_csv((out_b / "records.csv").read_text())
-    assert ra[0].f_star != rb[0].f_star or ra[0].iterations != rb[0].iterations
+    plan_file.write_text("problems = beale2\nsets = box\nsolvers = spg:0\n")
+    out = tmp_path / "out"
+    for option, value in (("--jobs", "2"), ("--seed", "7")):
+        res = CliRunner().invoke(
+            cli_main, ["run", "--plan", str(plan_file), "--out", str(out), option, value]
+        )
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output and option in res.output
+        assert not out.exists()
+    with pytest.raises(TypeError, match="jobs"):
+        run_plan(parse_plan(plan_file.read_text()), jobs=2)
 
 
 def test_cli_run_reports_errored_runs(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -359,6 +360,16 @@ def test_gradient_of_another_shape_is_rejected():
     p = square_norm_with_gradient(lambda x: np.zeros(3))
     with pytest.raises(ValueError, match=r"^gradient of sq2 has shape \(3,\)$"):
         p.grad(np.ones(2))
+
+
+@pytest.mark.parametrize("name", [p.name for p in list_problems()])
+def test_a_point_of_another_shape_is_rejected(name):
+    p = get_problem(name)
+    for shape in ((p.dim - 1,), (p.dim + 1,), (1, p.dim)):
+        message = re.escape(f"point for {name} has shape {shape}")
+        for oracle in (p.f, p.grad):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                oracle(np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("h", [np.nan, np.inf])

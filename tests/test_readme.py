@@ -1,5 +1,6 @@
-"""The README's plan and Python examples run as written, and its lists of
-`SolverConfig` fields name the fields there are."""
+"""The README's plan and Python examples run as written, its lists of
+`SolverConfig` fields name the fields there are, and its CLI block names
+the options each `bench` command has."""
 
 import contextlib
 import io
@@ -8,6 +9,7 @@ import re
 from dataclasses import fields
 
 from curveopt.bench import parse_plan
+from curveopt.cli import main as cli_main
 from curveopt.solvers import SolverConfig
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -39,3 +41,13 @@ def test_readme_lists_exactly_the_config_fields():
     # both counts of them, in the text and in the plan example's comment
     assert re.findall(r"(\w+) overridable", README) == [plan[1]]
     assert NUMBER_WORDS.index(plan[1]) == len(overridable)
+
+
+def test_readme_cli_block_names_exactly_the_options_of_each_command():
+    (block,) = [body for lang, body in FENCED if lang == "sh" and body.startswith("bench ")]
+    lines = block.splitlines()
+    assert [line.split()[1] for line in lines] == list(cli_main.commands)
+    for line in lines:
+        command = cli_main.commands[line.split()[1]]
+        options = [opt for param in command.params for opt in param.opts]
+        assert re.findall(r"--[\w-]+", line) == options, line

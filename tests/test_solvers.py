@@ -1246,33 +1246,6 @@ def test_trace_rebuilds_every_filled_entry(solver, cfg, mode, monkeypatch):
             assert getattr(got, name) is getattr(want, name)
 
 
-def test_vector_traces_come_back_whole_from_worker_processes():
-    # chnrosnb4 and beale2 on the box take fallback and momentum steps
-    plan = BenchPlan(
-        problems=("beale2", "chnrosnb4"), sets=("box",), solvers=(("scs", 0), ("spg", 0))
-    )
-    serial = run_plan(plan, record_trace="vectors")
-    pooled = run_plan(plan, jobs=2, record_trace="vectors")
-    assert len(serial) == len(pooled) == 4
-    fallbacks, plain = [], []
-    for a, b in zip(serial, pooled):
-        assert isinstance(b.trace, Trace)
-        assert len(a.trace) == len(b.trace) > 1
-        for x, y in zip(a.trace, b.trace):
-            for name in SCALAR_FIELDS:
-                assert repr(getattr(x, name)) == repr(getattr(y, name))
-            for name in VECTOR_FIELDS:
-                u, v = getattr(x, name), getattr(y, name)
-                assert (u is None and v is None) or u.tobytes() == v.tobytes()
-        if b.solver_name == "scs":
-            steps = [r for r in b.trace if r.t is not None]
-            fallbacks += [r for r in steps if r.fallback]
-            plain += [r for r in steps if not r.fallback and not r.adaptive]
-    assert fallbacks and plain
-    assert all(r.s is r.d for r in fallbacks)
-    assert all(r.s is r.s_candidate for r in plain)
-
-
 def test_scs_reaches_every_building_block_through_the_module(monkeypatch):
     # the benchmark's spans replace these module attributes; a loop that
     # bound one of them directly would leave its span count at 0

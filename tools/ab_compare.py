@@ -15,15 +15,14 @@ skips them.  `--problems` keeps only the named problems of the workload.
 Both sides share one process, so a slowdown of the machine that lasts
 seconds to minutes hits their passes alike, where between two `deskbench`
 processes it reads as a difference.  The tool prints, for the parent and
-the change and as the change's ratio to the parent,
-
-- `pass_median_s`: the median wall time of a pass,
-- `fastest_elapsed_s`: the sum over runs of each run's fastest `elapsed`,
-
-and `change_faster`, the number of rounds whose change pass was the
-faster, then `fastest_elapsed_s` once per problem, to show where a gain
-comes from.  It exits 1, at the first pass that differs, unless every run
-of every pass ends as in the first pass: in the same status and iteration
+the change and as the change's ratio to the parent, `fastest_elapsed_s`:
+the sum over runs of each run's fastest `elapsed`.  Then `change_faster`,
+the number of rounds in which the change's runs took less `elapsed` in
+sum than the parent's (a tie counts for neither side), and
+`fastest_elapsed_s` once per problem, to show where a gain comes from.
+Only the runs' own `elapsed` enters these figures, not the wall time
+of a whole pass.  It exits 1, at the first pass that differs, unless every
+run of every pass ends as in the first pass: in the same status and iteration
 count, with the same `repr(f_star)` and the same `final_x` bytes.  So any
 drift of a trajectory fails the comparison, not only a changed count.
 """
@@ -35,9 +34,7 @@ import dataclasses
 import importlib
 import importlib.util
 import math
-import statistics
 import sys
-import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -63,8 +60,7 @@ def load_harness(checkout: Path):
 
 
 def run_pass(bench, plan, record_trace: bool, tau_grid):
-    """One deskbench pass through `bench`; (wall seconds, {run key: record})."""
-    t0 = time.perf_counter()
+    """One deskbench pass through `bench`; {run key: record}."""
     records = bench.run_plan(plan, record_trace=record_trace)
     loaded = bench.records_from_csv(bench.records_to_csv(records))
     try:
@@ -72,8 +68,7 @@ def run_pass(bench, plan, record_trace: bool, tau_grid):
             bench.performance_profile(loaded, metric, tau_grid)
     except bench.EmptyProfileError:  # no run was solved, so there is no profile
         pass
-    wall = time.perf_counter() - t0
-    return wall, {(r.problem_name, r.set_name, r.solver_name, r.M): r for r in records}
+    return {(r.problem_name, r.set_name, r.solver_name, r.M): r for r in records}
 
 
 def outcome(r) -> tuple:
@@ -89,12 +84,12 @@ def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
         plan = workload.plan(seed)
         fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
         plans[side] = package.bench.BenchPlan(**fields)
-    walls = {side: [] for side in SIDES}
+    summed = {side: [] for side in SIDES}  # each timed round's sum of elapsed
     fastest = {side: {} for side in SIDES}
     reference = None
     for i in range(rounds + 1):
         for side in SIDES if i % 2 else SIDES[::-1]:
-            wall, runs = run_pass(
+            runs = run_pass(
                 packages[side].bench, plans[side], workload.record_trace, harness.TAU_GRID
             )
             ended = {key: outcome(r) for key, r in runs.items()}
@@ -106,7 +101,7 @@ def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
                 return {"mismatch": (i, side, key, reference.get(key), ended.get(key))}
             if i == 0:
                 continue
-            walls[side].append(wall)
+            summed[side].append(sum(r.elapsed for r in runs.values()))
             for key, r in runs.items():
                 fastest[side][key] = min(r.elapsed, fastest[side].get(key, math.inf))
     by_problem = {
@@ -117,9 +112,8 @@ def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
     }
     return {
         "runs": len(reference),
-        "pass_median_s": {side: statistics.median(walls[side]) for side in SIDES},
         "fastest_elapsed_s": {side: sum(fastest[side].values()) for side in SIDES},
-        "change_faster": sum(c < p for p, c in zip(walls["parent"], walls["change"])),
+        "change_faster": sum(c < p for p, c in zip(summed["parent"], summed["change"])),
         "problem_fastest_elapsed_s": by_problem,
     }
 
@@ -172,8 +166,7 @@ def main(argv=None) -> int:
         return 1
     print(f"# workload {args.workload}, {result['runs']} runs, {args.rounds} rounds, "
           f"seed {args.seed}")
-    for metric in ("pass_median_s", "fastest_elapsed_s"):
-        print(ratio_line(metric, result[metric]))
+    print(ratio_line("fastest_elapsed_s", result["fastest_elapsed_s"]))
     print(f"change_faster {result['change_faster']} of {args.rounds}")
     for name, seconds in result["problem_fastest_elapsed_s"].items():
         print(ratio_line(f"{name} fastest_elapsed_s", seconds))
