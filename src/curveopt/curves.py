@@ -74,7 +74,7 @@ def feasibility_certificate(
     """
     if not 0.0 < t_tilde < 1.0:
         raise DomainError(f"t_tilde = {t_tilde} outside (0, 1)")
-    if eps < 0.0:
+    if not eps >= 0.0:  # NaN fails too
         raise DomainError("eps must be nonnegative")
     if not fset.max_violation(c.x) <= FEAS_TOL:  # NaN fails too
         raise ContractError("base point x is infeasible")

@@ -6,13 +6,14 @@ primary direction with a heavy-ball secondary direction, to a feasible point
 that passes a (possibly non-monotone) Armijo condition.  A curve
 whose endpoint is feasible lies wholly in the set, so one check of the
 endpoint settles most steps; only an infeasible endpoint goes to the
-certificate and to the momentum reduction, which tries smaller weights.  When
-it violates a constraint nearly active along the primary direction, or no
-smaller weight makes it feasible, the step falls back to the straight line,
-which is always feasible.  Each curve builds its endpoint once, as
-x + d + (s - d); the step's check, the reduction's and the search's first
-trial all use that one array.  The curve search checks g only where it
-accepts, and not at an endpoint the step has already found feasible.
+certificate and to the momentum reduction, which tries smaller weights and
+returns the curve whose endpoint it found feasible; that curve is the one
+searched.  When the endpoint violates a constraint nearly active along the
+primary direction, or no smaller weight makes it feasible, the step falls
+back to the straight line, which is always feasible.  Each curve builds its
+endpoint once, as x + d + (s - d); the step's check, the reduction's and the
+search's first trial all use that one array.  The curve search checks g only
+where it accepts, and not at an endpoint the step has already found feasible.
 SPG, the spectral projected gradient baseline, backtracks along the straight
 line by quadratic interpolation.  With `beta0 = 0` and `ALPHA` set to 1, an
 SCS step is SPG backtracking by halving instead, bit for bit.
@@ -22,6 +23,7 @@ SCS step is SPG backtracking by halving instead, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from collections import deque
@@ -85,6 +87,12 @@ class SolverConfig:
             if not isinstance(value := getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be True or False, not {value!r}")
             object.__setattr__(self, name, bool(value))
+        # stored as float, so that a packed trace gives back the type recorded
+        for name in ("beta0", "eta_min", "eta_max", "stat_tol", "time_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.eta_min < self.eta_max < math.inf:
             raise ValueError("need 0 < eta_min < eta_max < inf")
         if not self.eta_min <= ETA0 <= self.eta_max:
@@ -95,9 +103,6 @@ class SolverConfig:
             raise ValueError("stat_tol must be finite and nonnegative")
         if not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
-        # stored as float, so that a packed trace gives back the type recorded
-        for name in ("beta0", "eta_min", "eta_max", "stat_tol", "time_limit"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 STATUS_STATIONARY = "stationary"
@@ -160,7 +165,6 @@ _FLOAT_FIELDS = (
 )
 _FLAG_FIELDS = ("fallback", "adaptive", "straight_line")
 _ARRAY_FIELDS = ("x", "d", "s", "s_candidate")
-_get_k = operator.attrgetter("k")
 _get_scalars = operator.attrgetter(*_FLOAT_FIELDS, *_FLAG_FIELDS)
 _get_arrays = operator.attrgetter(*_ARRAY_FIELDS)
 _NO_ARRAYS = (None,) * len(_ARRAY_FIELDS)
@@ -169,21 +173,22 @@ _NO_ARRAYS = (None,) * len(_ARRAY_FIELDS)
 class Trace(Sequence[IterationRecord]):
     """A run's `IterationRecord`s, packed by field; read-only.
 
-    The float fields are one float64 array with a mask of the entries that
-    were None, the flags one bool array and `k` one int array, so an entry
-    of scalars holds about 100 bytes instead of about 320.  A vector trace,
-    one whose first entry holds its iterate, also keeps each entry's arrays
-    by reference, so `s is s_candidate` and `s is d` hold as recorded.
+    `solve` records one entry per iteration from k = 0, so an entry's `k` is
+    its index and is not stored.  The float fields are one float64 array
+    with a mask of the entries that were None and the flags one bool array,
+    so an entry of scalars holds about 85 bytes instead of about 320.  A
+    vector trace, one whose first entry holds its iterate, also keeps each
+    entry's arrays by reference, so `s is s_candidate` and `s is d` hold as
+    recorded.
     `trace[i]`, with i negative too, rebuilds a fresh `IterationRecord` whose
     fields have the repr of the recorded entry's, so writing into it changes
     nothing; a slice gives a list of them.
     """
 
-    __slots__ = ("_k", "_floats", "_none", "_flags", "_arrays")
+    __slots__ = ("_floats", "_none", "_flags", "_arrays")
 
     def __init__(self, entries: list[IterationRecord]):
         n = len(entries)
-        self._k = np.fromiter(map(_get_k, entries), dtype=np.int64, count=n)
         width = len(_FLOAT_FIELDS) + len(_FLAG_FIELDS)
         cells = np.fromiter(
             chain.from_iterable(map(_get_scalars, entries)), dtype=object, count=n * width
@@ -198,14 +203,14 @@ class Trace(Sequence[IterationRecord]):
         self._arrays = list(map(_get_arrays, entries)) if vectors else None
 
     def __len__(self) -> int:
-        return len(self._k)
+        return len(self._floats)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # IndexError out of range, negative i from the end
         return _rebuild(
-            self._k[i].item(),
+            i,
             self._floats[i].tolist(),
             self._none[i].tolist(),
             self._flags[i].tolist(),
@@ -214,9 +219,9 @@ class Trace(Sequence[IterationRecord]):
 
     def __iter__(self):
         arrays = self._arrays or [_NO_ARRAYS] * len(self)
-        columns = (self._k, self._floats, self._none, self._flags)
-        for row in zip(*(c.tolist() for c in columns), arrays):
-            yield _rebuild(*row)
+        columns = (self._floats, self._none, self._flags)
+        for k, row in enumerate(zip(*(c.tolist() for c in columns), arrays)):
+            yield _rebuild(k, *row)
 
 
 def _rebuild(k, floats, none, flags, arrays) -> IterationRecord:
@@ -293,23 +298,24 @@ def adaptive_momentum(
     fset: ConvexFeasibleSet,
     beta: float,
     eta: float,
-) -> tuple[Vector, float]:
+) -> tuple[QuadraticCurve, float]:
     """Geometrically shrink the momentum weight until the endpoint is feasible.
 
     `c` is the momentum curve of weight beta, whose endpoint c.p2 the SCS
-    step found infeasible.  Returns (s, beta_k) with beta_k the largest
-    DELTA^h * beta, 1 <= h <= MAX_BACKTRACKS, that makes the endpoint
-    `QuadraticCurve(c.x, c.d, s).p2` feasible,
-    s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta).  Raises
+    step found infeasible.  Returns (curve, beta_k) with beta_k the largest
+    DELTA^h * beta, 1 <= h <= MAX_BACKTRACKS, whose momentum curve
+    `QuadraticCurve(c.x, c.d, build_secondary_direction(c.d, c.x, x_prev,
+    beta_k, eta))` has a feasible endpoint, and `curve` that very curve, so
+    the endpoint tested is the search's first trial.  Raises
     SearchFailureError when none does, at once if MAX_BACKTRACKS is 0; near a
     wide window's eta_max the momentum term can outlast every halving.
     """
     beta_k = beta
     for _ in range(MAX_BACKTRACKS):
         beta_k *= DELTA
-        s = build_secondary_direction(c.d, c.x, x_prev, beta_k, eta)
-        if fset.max_violation(QuadraticCurve(c.x, c.d, s).p2) <= FEAS_TOL:
-            return s, beta_k
+        curve = QuadraticCurve(c.x, c.d, build_secondary_direction(c.d, c.x, x_prev, beta_k, eta))
+        if fset.max_violation(curve.p2) <= FEAS_TOL:
+            return curve, beta_k
     raise SearchFailureError(
         "momentum reduction exhausted its budget",
         last_trial=beta_k,
@@ -384,13 +390,9 @@ class _CurveStep:
         fallback = self.x_prev is None
         x_prev = x if fallback else self.x_prev
         moved = z - pz
-        proj_required = math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
-        s = s_candidate = build_secondary_direction(d, x, x_prev, self.beta, eta)
-        curve = QuadraticCurve(x, d, s)
-
-        adaptive = False
-        # whether the endpoint of the curve searched has been found feasible
-        end_feasible = False
+        reduce = cfg.adaptive_momentum and math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
+        candidate = QuadraticCurve(x, d, build_secondary_direction(d, x, x_prev, self.beta, eta))
+        curve = candidate
         beta_k = self.beta
         # x and x + d are feasible, so the middle control point x + d/2 is too;
         # once the endpoint x + s is feasible, every point of the curve is a
@@ -399,29 +401,24 @@ class _CurveStep:
         # the straight line nothing checks x + d: the projection is trusted
         # (the certificate, where it runs, raises ContractError if it is not),
         # and the search's check of the accepted point keeps iterates feasible.
-        if not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL:
-            adaptive = cfg.adaptive_momentum and proj_required
-            end_feasible = True
-        elif not fallback:
+        end_feasible = not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL
+        if not (fallback or end_feasible):
             decision = feasibility_certificate(curve, self.fset, T_TILDE, self.eps)
             fallback = decision is CurveDecision.FALL_BACK
-            if not fallback and cfg.adaptive_momentum and proj_required:
+            if not fallback and reduce:
                 try:
-                    s, beta_k = adaptive_momentum(curve, x_prev, self.fset, self.beta, eta)
+                    curve, beta_k = adaptive_momentum(curve, x_prev, self.fset, self.beta, eta)
                 except SearchFailureError:
                     # no weight on the budget's grid makes the momentum endpoint
                     # feasible; x + d is, so the straight line always remains
                     fallback = True
                 else:
-                    # the reduction tested this s's endpoint, which the
-                    # rebuilt curve forms again bit for bit
-                    adaptive = end_feasible = True
+                    end_feasible = True
                     self.adaptive_reductions += beta_k < self.beta
         if fallback:
-            s = d
+            curve = QuadraticCurve(x, d, d)
             self.fallbacks += 1
-        if s is not s_candidate:
-            curve = QuadraticCurve(x, d, s)
+        adaptive = reduce and end_feasible
         if rec is not None:
             rec.fallback = fallback
             rec.adaptive = adaptive
@@ -429,8 +426,8 @@ class _CurveStep:
             rec.eps = self.eps
             rec.straight_line = curve.is_straight_line()
             if rec.x is not None:  # a vector trace
-                rec.s = s
-                rec.s_candidate = s_candidate
+                rec.s = curve.s
+                rec.s_candidate = candidate.s
         x_next, f_next, t = curve_search(
             self.p, self.fset, curve, f_ref, grad_dot_d, end_feasible=end_feasible
         )

@@ -39,7 +39,7 @@ def sweep():
         problems=tuple(p.name for p in list_problems()),
         sets=("sph", "ell", "com", "box"),
         solvers=(("scs", 0), ("scs", 10), ("spg", 0), ("spg", 10)),
-        overrides={"max_iters": 400, "time_limit": 15.0},
+        overrides={"max_iters": 400},
         seed=0,
     )
     return run_plan(plan, record_trace=True)
@@ -210,7 +210,7 @@ def test_c08_projection_oracles(capsys):
 def test_c09_momentum_reduction_at_boundary(capsys):
     b = make_box(2)
     d, x, x_prev = np.array([-0.05, 0.02]), np.array([1.0, 0.0]), np.array([0.9, -0.5])
-    s, beta_k = adaptive_momentum(
+    curve, beta_k = adaptive_momentum(
         c=QuadraticCurve(x, d, build_secondary_direction(d, x, x_prev, beta=0.9, eta=2.5)),
         x_prev=x_prev,
         fset=b,
@@ -219,7 +219,7 @@ def test_c09_momentum_reduction_at_boundary(capsys):
     )
     ok = beta_k > 0.0
     ok = ok and beta_k >= 0.9 * 0.5**60
-    ok = ok and b.max_violation(np.array([1.0, 0.0]) + s) <= 1e-8
+    ok = ok and b.max_violation(curve.p2) <= 1e-8
     report(capsys, 9, "momentum-reduction-at-boundary", ok)
 
 

@@ -161,6 +161,7 @@ def test_parse_plan_rejects_bad_value_with_line_and_key(line, key):
         BenchPlan(("beale2",), ("box",), (("spg", 0), ("scs", 2.5))),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"nope": 1}),
         BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"beta0": 1.5}),
+        BenchPlan(("beale2",), ("box",), (("scs", 0),), overrides={"beta0": "0.5"}),
         BenchPlan(("rosenbrock2", "rosenbrock2"), ("box",), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box", "sph", "box"), (("scs", 0),)),
         BenchPlan(("rosenbrock2",), ("box",), (("scs", 0), ("scs", 10), ("scs", 0))),

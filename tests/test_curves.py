@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -263,6 +264,9 @@ def test_certificate_domain_errors():
         feasibility_certificate(c, fset, 1.0, 0.0)
     with pytest.raises(DomainError):
         feasibility_certificate(c, fset, 0.5, -0.1)
+    # NaN reads no constraint active, which would accept any curve
+    with pytest.raises(DomainError):
+        feasibility_certificate(c, fset, 0.5, math.nan)
 
 
 def test_certificate_accepts_then_grid_has_feasible_prefix():

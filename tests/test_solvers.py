@@ -128,7 +128,7 @@ def momentum_curve(d, x, x_prev, beta, eta):
 
 def test_adaptive_momentum_worked_reduction():
     b = make_box(2)
-    s, beta_k = adaptive_momentum(
+    curve, beta_k = adaptive_momentum(
         c=momentum_curve(d=[-0.05, 0.02], x=[1.0, 0.0], x_prev=[0.9, -0.5], beta=0.9, eta=2.5),
         x_prev=np.array([0.9, -0.5]),
         fset=b,
@@ -137,8 +137,10 @@ def test_adaptive_momentum_worked_reduction():
     )
     # three halvings: 0.9 * 0.5**3
     assert beta_k == pytest.approx(0.1125, abs=1e-15)
-    endpoint = np.array([1.0, 0.0]) + s
-    assert b.max_violation(endpoint) <= FEAS_TOL
+    assert b.max_violation(curve.p2) <= FEAS_TOL
+    # the curve of that weight, whose endpoint the reduction tested
+    want = momentum_curve(d=[-0.05, 0.02], x=[1.0, 0.0], x_prev=[0.9, -0.5], beta=beta_k, eta=2.5)
+    assert np.array_equal(curve.s, want.s) and np.array_equal(curve.p2, want.p2)
     # one fewer halving would leave the box
     bigger = (
         np.array([1.0, 0.0])
@@ -309,8 +311,9 @@ def test_scs_skips_the_search_check_only_at_an_endpoint_it_found_feasible(monkey
     real_reduce = solvers.adaptive_momentum
 
     def logged_reduce(*args):
-        events.append(("reduce",))
-        return real_reduce(*args)
+        curve, beta_k = real_reduce(*args)
+        events.append(("reduce", curve))
+        return curve, beta_k
 
     real_search = solvers.curve_search
 
@@ -346,9 +349,12 @@ def test_scs_skips_the_search_check_only_at_an_endpoint_it_found_feasible(monkey
         if end_feasible:
             # the step's last g call, its own or the reduction's, tested
             # this very endpoint and passed it
-            _, point, value = before[-1]
+            _, point, value = [e for e in before if e[0] == "g"][-1]
             assert point == c.p2.tobytes() and value <= FEAS_TOL
-            kinds["reduced" if ("reduce",) in before else "checked"] += 1
+            # a reduced step searches the very curve the reduction returned
+            reduced = [e[1] for e in before if e[0] == "reduce"]
+            assert all(curve is c for curve in reduced)
+            kinds["reduced" if reduced else "checked"] += 1
             assert [e[1] for e in inside] == ([] if t == 1.0 else [accepted])
         else:
             if c.s is c.d:
@@ -405,11 +411,16 @@ def test_stationarity_measure_examples():
         {"M": -1},
         {"max_iters": -3},
         {"time_limit": -1.0},
+        {"time_limit": None},
         {"max_iters": math.nan},
         {"M": math.nan},
         {"beta0": -0.5},
         {"beta0": 1.0},
         {"beta0": math.nan},
+        # a bool is no real number, and neither is a string
+        {"beta0": False},
+        {"eta_max": True},
+        {"stat_tol": "0.5"},
         {"stat_tol": -1e-3},
         {"stat_tol": math.nan},
         # an infinite tolerance calls every start stationary
