@@ -3,6 +3,13 @@
 A small self-contained suite of classical unconstrained test functions,
 each with a documented start point, used as the objective half of the
 constrained benchmark instances.  Dimensions span n = 2 up to n = 1000.
+
+The problems with n <= 4 (rosenbrock2, beale2, wood4, chnrosnb4) are closed
+forms evaluated on Python floats (`_on_floats`), bit for bit the values of
+their numpy reference.  The others keep numpy's vector formulas, whose bits
+a scalar rewrite would not keep: numpy sums 8 or more entries pairwise, not
+left to right (chnrosnb100's sums have 99 terms), and an array's ** 3 and
+** 4 may round unlike libm's pow (powell20).
 """
 
 from __future__ import annotations
@@ -61,8 +68,15 @@ def _on_floats(body):
     scalar operation.  Python raises where numpy returns inf or nan in two
     places: a power that overflows, and division by zero.  On OverflowError
     the body runs again on numpy's scalars, which return inf with a
-    RuntimeWarning.  A square stays `** 2`: `t * t` rounds differently from
-    `t ** 2` at about one value in a thousand.
+    RuntimeWarning.
+
+    A square is written as its reference computes it, since `t * t` rounds
+    unlike `t ** 2` at about one value in a thousand.  Where the reference
+    squares a numpy scalar, it stays `t ** 2` (libm's pow).  Where the
+    reference squares an array, it is `t * t`: an array's ** 2 is
+    np.square, a product, and a product never raises OverflowError.  numpy
+    sums fewer than 8 entries left to right, so such a sum is written
+    `a + b + c`, never `sum()`, which from Python 3.12 on compensates.
     """
 
     def oracle(x):
@@ -144,6 +158,35 @@ def _wood_grad(x0, x1, x2, x3):
             200.0 * (x1 - x0**2) + 20.0 * (x1 + x3 - 2.0) + 0.2 * (x1 - x3),
             -360.0 * x2 * (x3 - x2**2) - 2.0 * (1.0 - x2),
             180.0 * (x3 - x2**2) + 20.0 * (x1 + x3 - 2.0) - 0.2 * (x1 - x3),
+        ]
+    )
+
+
+# chnrosnb4: _chained_rosenbrock(1.0) at n = 4, whose array ** 2 is a
+# product and whose 3-entry sums run left to right
+@_on_floats
+def _chnrosnb4_f(x0, x1, x2, x3):
+    r0 = x1 - x0 * x0
+    r1 = x2 - x1 * x1
+    r2 = x3 - x2 * x2
+    u0 = 1.0 - x0
+    u1 = 1.0 - x1
+    u2 = 1.0 - x2
+    return 100.0 * (r0 * r0 + r1 * r1 + r2 * r2) + (u0 * u0 + u1 * u1 + u2 * u2)
+
+
+@_on_floats
+def _chnrosnb4_grad(x0, x1, x2, x3):
+    r0 = x1 - x0 * x0
+    r1 = x2 - x1 * x1
+    r2 = x3 - x2 * x2
+    # each entry starts at the 0.0 of np.zeros, which turns -0.0 into +0.0
+    return np.array(
+        [
+            0.0 + (-400.0 * x0 * r0 - 2.0 * (1.0 - x0)),
+            0.0 + (-400.0 * x1 * r1 - 2.0 * (1.0 - x1)) + 200.0 * r0,
+            0.0 + (-400.0 * x2 * r2 - 2.0 * (1.0 - x2)) + 200.0 * r1,
+            0.0 + 200.0 * r2,
         ]
     )
 
@@ -278,8 +321,9 @@ def _build_suite() -> list[SmoothProblem]:
 
     # chained Rosenbrock; the n = 100 instance is scaled by 1/n to keep
     # objective magnitudes compatible with finite-difference validation
-    f, g = _chained_rosenbrock(1.0)
-    out.append(SmoothProblem("chnrosnb4", 4, f, g, _tile([-1.2, 1.0], 4)))
+    out.append(
+        SmoothProblem("chnrosnb4", 4, _chnrosnb4_f, _chnrosnb4_grad, _tile([-1.2, 1.0], 4))
+    )
     f, g = _chained_rosenbrock(1.0 / 100.0)
     out.append(SmoothProblem("chnrosnb100", 100, f, g, _tile([-1.2, 1.0], 100)))
 

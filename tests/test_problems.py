@@ -279,8 +279,10 @@ def same_bits(got, want):
     return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
 
 
-#: ±0, ±inf, a square that overflows (1e200) and a cube that does (1e103)
-SPECIAL_ENTRIES = (0.0, -0.0, 1.5, np.inf, -np.inf, 1e200, -1e200, 1e103, -1e103)
+#: ±0, ±inf, a square that overflows (1e200) and a cube that does (1e103),
+#: and 1.0, where a Rosenbrock term vanishes: at (1, 1) the x0 gradient term
+#: is -0.0, which the np.zeros of a vector reference turns to +0.0
+SPECIAL_ENTRIES = (0.0, -0.0, 1.0, 1.5, np.inf, -np.inf, 1e200, -1e200, 1e103, -1e103)
 
 
 def special_points(n):
@@ -310,10 +312,13 @@ def test_oracles_match_the_plain_formulas_at_special_entries(name):
             assert same_bits(p.grad(x), grad(x)), x
 
 
-@pytest.mark.parametrize("name", ["rosenbrock2", "beale2", "wood4"])
+@pytest.mark.parametrize("name", ["rosenbrock2", "beale2", "wood4", "chnrosnb4"])
 def test_closed_forms_match_the_plain_formulas_at_many_points(name):
     # t * t rounds unlike t ** 2 at about 1 point in 1,000, and fewer of
-    # those reach f: beale2's t1**2 as t1 * t1 changes f at 15 in 100,000
+    # those reach f: beale2's t1**2 as t1 * t1 changes f at 15 in 100,000.
+    # So t * t is the wrong square where the reference squares a numpy
+    # scalar (libm's pow), and the right one where it squares an array
+    # (np.square, a product), as chnrosnb4's reference does
     p = get_problem(name)
     f, grad = PLAIN_ORACLES[name]
     rng = np.random.default_rng(13)

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "trajectory_digest.py"
 
 
@@ -37,3 +39,27 @@ def test_digest_of_beale2_is_pinned():
     hexdigest, runs, entries, lacking = load_tool().digest(("beale2",))
     assert (runs, entries, lacking) == (16, 885, 0)
     assert hexdigest == BEALE2_DIGEST
+
+
+def test_main_names_the_numpy_build_before_the_digest(monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "digest", lambda: ("ab" * 32, 208, 25616, 0))
+    assert tool.main() == 0
+    build, last = capsys.readouterr().out.splitlines()
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except TypeError:  # numpy < 1.25
+        assert build == f"# numpy {np.__version__}; SIMD features unknown"
+    else:
+        assert build == (
+            f"# numpy {np.__version__}; SIMD baseline {' '.join(simd['baseline']) or 'none'}; "
+            f"dispatched {' '.join(simd['found']) or 'none'}"
+        )
+    assert last == f"{'ab' * 32}  208 runs, 25616 trace entries"
+
+
+def test_numpy_build_without_simd_report_says_unknown(monkeypatch):
+    # numpy before 1.25 has no show_config(mode=...)
+    tool = load_tool()
+    monkeypatch.setattr(tool.np, "show_config", lambda: None)
+    assert tool.numpy_build() == f"# numpy {np.__version__}; SIMD features unknown"

@@ -14,7 +14,14 @@ prints one digest over
 
 Both lists are fixed, so a column or field added later leaves the digest of
 an unchanged trajectory as it was.  Two checkouts that print the same digest
-ran the same trajectories bit for bit.  It exits 1 if a listed column or
+ran the same trajectories bit for bit.
+
+A digest holds for one numpy build at one SIMD dispatch level: numpy's
+array functions may round differently on another instruction set, and so
+move a trajectory.  So a `#` line before the digest names numpy's version
+and the SIMD features it dispatches to (from `np.show_config` on numpy
+1.25 and later, else "unknown"); compare digests only where it reads alike.
+The digest stays the last line.  It exits 1 if a listed column or
 field is missing, or if an entry lacks its iterate or an SCS step entry
 lacks `d`, `s` or `s_candidate`, so that the digest never silently covers
 less than it names.  The library and the harness are imported from the
@@ -102,7 +109,21 @@ def digest(problems=DESK_PROBLEMS) -> tuple[str, int, int, int]:
     return h.hexdigest(), runs, entries, lacking
 
 
+def numpy_build() -> str:
+    """The `#` line naming numpy's version, SIMD baseline and dispatched features."""
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions")
+    except TypeError:  # numpy < 1.25 has no mode
+        simd = None
+    if not simd:
+        return f"# numpy {np.__version__}; SIMD features unknown"
+    baseline = " ".join(simd.get("baseline", ())) or "none"
+    found = " ".join(simd.get("found", ())) or "none"
+    return f"# numpy {np.__version__}; SIMD baseline {baseline}; dispatched {found}"
+
+
 def main() -> int:
+    print(numpy_build())
     hexdigest, runs, entries, lacking = digest()
     print(f"{hexdigest}  {runs} runs, {entries} trace entries")
     if lacking:
