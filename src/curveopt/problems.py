@@ -6,10 +6,13 @@ constrained benchmark instances.  Dimensions span n = 2 up to n = 1000.
 
 The problems with n <= 4 (rosenbrock2, beale2, wood4, chnrosnb4) are closed
 forms evaluated on Python floats (`_on_floats`), bit for bit the values of
-their numpy reference.  The others keep numpy's vector formulas, whose bits
-a scalar rewrite would not keep: numpy sums 8 or more entries pairwise, not
-left to right (chnrosnb100's sums have 99 terms), and an array's ** 3 and
-** 4 may round unlike libm's pow (powell20).
+their numpy reference, and so is powell20, which walks its groups of four.
+No oracle takes an array power other than a square: numpy's array ** 3 and
+** 4 go to SVML on AVX-512 and round unlike libm, so powell20 and its
+reference write them as products, and its values are the same at every
+SIMD dispatch level.  The other problems keep numpy's vector formulas,
+whose bits a scalar rewrite would not keep: numpy sums 8 or more entries
+pairwise, not left to right (chnrosnb100's sums have 99 terms).
 """
 
 from __future__ import annotations
@@ -206,31 +209,48 @@ def _diag_quadratic(n, center=None, scale=1.0):
 
 
 def _extended_powell(n):
+    # on Python floats, bit for bit the vector formula with every power a
+    # product (an array's ** 2 is np.square; ** 3 and ** 4 are written
+    # t * t * t and t2 * t2); each 5-term sum runs left to right, as numpy
+    # sums fewer than 8 entries
     assert n % 4 == 0
 
     def f(x):
-        x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
-        return float(
-            _sum((x1 + 10.0 * x2) ** 2)
-            + 5.0 * _sum((x3 - x4) ** 2)
-            + _sum((x2 - 2.0 * x3) ** 4)
-            + 10.0 * _sum((x1 - x4) ** 4)
-        )
+        v = x.tolist()
+        # -0.0 + t is t, so each sum starts from the first group's term
+        sa = sb = sc = sd = -0.0
+        for i in range(0, n, 4):
+            x1, x2, x3, x4 = v[i : i + 4]
+            a = x1 + 10.0 * x2
+            b = x3 - x4
+            c = x2 - 2.0 * x3
+            d = x1 - x4
+            c2 = c * c
+            d2 = d * d
+            sa += a * a
+            sb += b * b
+            sc += c2 * c2
+            sd += d2 * d2
+        return sa + 5.0 * sb + sc + 10.0 * sd
 
     def grad(x):
-        x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
-        g = np.zeros(x.shape)
-        a = x1 + 10.0 * x2
-        b = x3 - x4
-        c = x2 - 2.0 * x3
-        d = x1 - x4
-        c3 = c**3
-        d3 = d**3
-        g[0::4] = 2.0 * a + 40.0 * d3
-        g[1::4] = 20.0 * a + 4.0 * c3
-        g[2::4] = 10.0 * b - 8.0 * c3
-        g[3::4] = -10.0 * b - 40.0 * d3
-        return g
+        v = x.tolist()
+        g = []
+        for i in range(0, n, 4):
+            x1, x2, x3, x4 = v[i : i + 4]
+            a = x1 + 10.0 * x2
+            b = x3 - x4
+            c = x2 - 2.0 * x3
+            d = x1 - x4
+            c3 = c * c * c
+            d3 = d * d * d
+            g += (
+                2.0 * a + 40.0 * d3,
+                20.0 * a + 4.0 * c3,
+                10.0 * b - 8.0 * c3,
+                -10.0 * b - 40.0 * d3,
+            )
+        return np.array(g)
 
     return f, grad
 

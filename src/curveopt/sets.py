@@ -239,9 +239,10 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
                 lo = lam
             else:
                 hi = lam
-            # Newton step on phi, safeguarded by the bracket
+            # Newton step on phi, safeguarded by the bracket; a product, as
+            # an array's ** 3 rounds by the CPU's instruction set
             w = p + 2.0 * lam
-            dphi = float(_sum(dphi_num / w**3))
+            dphi = float(_sum(dphi_num / (w * w * w)))
             lam_newton = lam - val / dphi if dphi != 0.0 else lam
             if lo < lam_newton < hi:
                 lam = lam_newton

@@ -437,7 +437,7 @@ def plain_ellipsoid(p):
             else:
                 hi = lam
             w = p + 2.0 * lam
-            dphi = float((dphi_num / w**3).sum())
+            dphi = float((dphi_num / (w * w * w)).sum())
             lam_newton = lam - val / dphi if dphi != 0.0 else lam
             lam = lam_newton if lo < lam_newton < hi else 0.5 * (lo + hi)
         return c + pd / (p + 2.0 * lam)

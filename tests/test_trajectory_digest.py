@@ -1,7 +1,11 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "trajectory_digest.py"
 
@@ -43,23 +47,55 @@ def test_digest_of_beale2_is_pinned():
 
 def test_main_names_the_numpy_build_before_the_digest(monkeypatch, capsys):
     tool = load_tool()
-    monkeypatch.setattr(tool, "digest", lambda: ("ab" * 32, 208, 25616, 0))
+    monkeypatch.setattr(tool, "digest", lambda: ("ab" * 32, 208, 25664, 0))
     assert tool.main() == 0
     build, last = capsys.readouterr().out.splitlines()
+    core = tool.blas_core()
     try:
-        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+        config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.25
-        assert build == f"# numpy {np.__version__}; SIMD features unknown"
+        assert build == f"# numpy {np.__version__}; SIMD features unknown; BLAS core {core}"
     else:
+        simd = config["SIMD Extensions"]
         assert build == (
             f"# numpy {np.__version__}; SIMD baseline {' '.join(simd['baseline']) or 'none'}; "
-            f"dispatched {' '.join(simd['found']) or 'none'}"
+            f"dispatched {' '.join(simd['found']) or 'none'}; BLAS core {core}"
         )
-    assert last == f"{'ab' * 32}  208 runs, 25616 trace entries"
+        if config["Build Dependencies"]["blas"]["name"] == "scipy-openblas":
+            assert core != "unknown"
+    assert last == f"{'ab' * 32}  208 runs, 25664 trace entries"
 
 
 def test_numpy_build_without_simd_report_says_unknown(monkeypatch):
     # numpy before 1.25 has no show_config(mode=...)
     tool = load_tool()
     monkeypatch.setattr(tool.np, "show_config", lambda: None)
-    assert tool.numpy_build() == f"# numpy {np.__version__}; SIMD features unknown"
+    assert tool.numpy_build() == (
+        f"# numpy {np.__version__}; SIMD features unknown; BLAS core {tool.blas_core()}"
+    )
+
+
+def test_blas_core_follows_openblas_coretype():
+    # the digest moves with the OpenBLAS kernel, so the # line must name the
+    # one OPENBLAS_CORETYPE picks, which is read at load time
+    if load_tool().blas_core() == "unknown":
+        pytest.skip("numpy's BLAS names no OpenBLAS core")
+    script = f"import runpy; print(runpy.run_path({str(TOOL)!r})['blas_core']())"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "Haswell\n"
+
+
+def no_library(path):
+    raise OSError(path)
+
+
+@pytest.mark.parametrize(
+    "cdll", [lambda path: object(), no_library], ids=["no-symbol", "no-library"]
+)
+def test_blas_core_without_openblas_says_unknown(monkeypatch, cdll):
+    tool = load_tool()
+    monkeypatch.setattr(tool.ctypes, "CDLL", cdll)
+    assert tool.blas_core() == "unknown"

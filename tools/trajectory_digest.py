@@ -16,11 +16,15 @@ Both lists are fixed, so a column or field added later leaves the digest of
 an unchanged trajectory as it was.  Two checkouts that print the same digest
 ran the same trajectories bit for bit.
 
-A digest holds for one numpy build at one SIMD dispatch level: numpy's
-array functions may round differently on another instruction set, and so
-move a trajectory.  So a `#` line before the digest names numpy's version
-and the SIMD features it dispatches to (from `np.show_config` on numpy
-1.25 and later, else "unknown"); compare digests only where it reads alike.
+A digest holds for one numpy build and one BLAS kernel.  The library
+takes no array power but squares, so numpy's SIMD dispatch level does not
+move a trajectory; OpenBLAS, though, picks a `dot` kernel for the CPU, and
+each kernel sums in its own order.  So a `#` line before the digest
+names numpy's version, the SIMD features it dispatches to (from
+`np.show_config` on numpy 1.25 and later, else "unknown") and the OpenBLAS
+core numpy's BLAS runs on (`OPENBLAS_CORETYPE` overrides it; "unknown"
+where the library names none); compare digests only where the numpy
+version and the BLAS core read alike.
 The digest stays the last line.  It exits 1 if a listed column or
 field is missing, or if an entry lacks its iterate or an SCS step entry
 lacks `d`, `s` or `s_candidate`, so that the digest never silently covers
@@ -32,12 +36,14 @@ commit.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.linalg._umath_linalg as umath_linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "deskbench")]
@@ -109,17 +115,41 @@ def digest(problems=DESK_PROBLEMS) -> tuple[str, int, int, int]:
     return h.hexdigest(), runs, entries, lacking
 
 
+#: the function naming OpenBLAS's core in numpy's wheels (scipy-openblas,
+#: 64-bit ints) and in a system OpenBLAS
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+
+
+def blas_core() -> str:
+    """The OpenBLAS core numpy's BLAS runs on, or "unknown"."""
+    try:
+        # dlsym on a module's handle also searches the libraries it links
+        lib = ctypes.CDLL(umath_linalg.__file__)
+    except OSError:
+        return "unknown"
+    for name in CORENAME_SYMBOLS:
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.argtypes = ()
+            corename.restype = ctypes.c_char_p
+            return (corename() or b"unknown").decode()
+    return "unknown"
+
+
 def numpy_build() -> str:
-    """The `#` line naming numpy's version, SIMD baseline and dispatched features."""
+    """The `#` line naming numpy's version, SIMD baseline and dispatched
+    features, and the BLAS core."""
     try:
         simd = np.show_config(mode="dicts").get("SIMD Extensions")
     except TypeError:  # numpy < 1.25 has no mode
         simd = None
     if not simd:
-        return f"# numpy {np.__version__}; SIMD features unknown"
-    baseline = " ".join(simd.get("baseline", ())) or "none"
-    found = " ".join(simd.get("found", ())) or "none"
-    return f"# numpy {np.__version__}; SIMD baseline {baseline}; dispatched {found}"
+        features = "SIMD features unknown"
+    else:
+        baseline = " ".join(simd.get("baseline", ())) or "none"
+        found = " ".join(simd.get("found", ())) or "none"
+        features = f"SIMD baseline {baseline}; dispatched {found}"
+    return f"# numpy {np.__version__}; {features}; BLAS core {blas_core()}"
 
 
 def main() -> int:
