@@ -28,7 +28,7 @@ import operator
 import time
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -132,56 +132,54 @@ def trace_keeps_vectors(record_trace) -> bool:
 class IterationRecord:
     """Per-iteration trace entry: the iterate plus the step taken from it.
 
-    `solve` fills one per iteration and packs them into the run's `Trace`,
-    which hands each back as a fresh copy.  With `record_trace=True` an
-    entry holds only scalars, and `x`, `d`, `s` and `s_candidate` stay None.
-    With `record_trace="vectors"` it also holds those arrays, the run's own
-    and not copies: `s is s_candidate` on every momentum step that keeps its
-    weight and `s is d` on a fallback.  The solver never writes into them,
-    and neither may a reader of the trace.
+    The field order is the layout a `Trace` packs: `k`, then the floats
+    (float or None), then the flags, then the arrays, so a new field is
+    declared among its kind.  `solve` fills one entry per iteration.  With
+    `record_trace=True` an entry holds only scalars, and `x`, `d`, `s` and
+    `s_candidate` stay None.  With `record_trace="vectors"` it also holds
+    those arrays, the run's own and not copies: `s is s_candidate` on every
+    momentum step that keeps its weight and `s is d` on a fallback.  The
+    solver never writes into them, and neither may a reader of the trace.
     """
 
     k: int
-    x: Vector | None
     f: float
     stationarity: float
     max_g: float
     t: float | None = None
-    fallback: bool = False
-    adaptive: bool = False
     beta_used: float | None = None
     eta: float | None = None
     eps: float | None = None
     grad_dot_d: float | None = None
     f_ref: float | None = None
+    fallback: bool = False
+    adaptive: bool = False
+    straight_line: bool = False
+    x: Vector | None = None
     d: Vector | None = None
     s: Vector | None = None
     s_candidate: Vector | None = None  # momentum direction before any fallback
-    straight_line: bool = False
 
 
-_FLOAT_FIELDS = (
-    "f", "stationarity", "max_g", "t", "beta_used", "eta", "eps", "grad_dot_d", "f_ref"
-)
-_FLAG_FIELDS = ("fallback", "adaptive", "straight_line")
-_ARRAY_FIELDS = ("x", "d", "s", "s_candidate")
-_get_scalars = operator.attrgetter(*_FLOAT_FIELDS, *_FLAG_FIELDS)
-_get_arrays = operator.attrgetter(*_ARRAY_FIELDS)
-_NO_ARRAYS = (None,) * len(_ARRAY_FIELDS)
+_PACKED = fields(IterationRecord)[1:]  # k is the entry's index
+_N_FLOATS = sum(f.type.startswith("float") for f in _PACKED)
+_N_SCALARS = _N_FLOATS + sum(f.type == "bool" for f in _PACKED)
+_get_scalars = operator.attrgetter(*(f.name for f in _PACKED[:_N_SCALARS]))
+_get_arrays = operator.attrgetter(*(f.name for f in _PACKED[_N_SCALARS:]))
 
 
 class Trace(Sequence[IterationRecord]):
     """A run's `IterationRecord`s, packed by field; read-only.
 
-    `solve` records one entry per iteration from k = 0, so an entry's `k` is
-    its index and is not stored.  The float fields are one float64 array
-    with a mask of the entries that were None and the flags one bool array,
-    so an entry of scalars holds about 85 bytes instead of about 320.  A
-    vector trace, one whose first entry holds its iterate, also keeps each
-    entry's arrays by reference, so `s is s_candidate` and `s is d` hold as
-    recorded.
-    `trace[i]`, with i negative too, rebuilds a fresh `IterationRecord` whose
-    fields have the repr of the recorded entry's, so writing into it changes
+    An entry's `k` is its index and is not stored; its other fields are
+    packed in their declared order.  The floats are one float64 array with
+    a mask of the entries that were None and the flags one bool array, so
+    an entry of scalars holds about 85 bytes instead of about 320.  A vector
+    trace, one whose first entry holds its iterate, also keeps each entry's
+    arrays by reference, so `s is s_candidate` and `s is d` hold as
+    recorded.  Entries are read by index: `trace[i]`, with i negative too,
+    rebuilds a fresh `IterationRecord` from row i by field position, with
+    fields of the recorded entry's repr, so writing into it changes
     nothing; a slice gives a list of them.
     """
 
@@ -189,16 +187,15 @@ class Trace(Sequence[IterationRecord]):
 
     def __init__(self, entries: list[IterationRecord]):
         n = len(entries)
-        width = len(_FLOAT_FIELDS) + len(_FLAG_FIELDS)
         cells = np.fromiter(
-            chain.from_iterable(map(_get_scalars, entries)), dtype=object, count=n * width
-        ).reshape(n, width)
+            chain.from_iterable(map(_get_scalars, entries)), dtype=object, count=n * _N_SCALARS
+        ).reshape(n, _N_SCALARS)
         # None becomes NaN here, so only a NaN cell can have been None
-        self._floats = cells[:, : len(_FLOAT_FIELDS)].astype(float)
+        self._floats = cells[:, :_N_FLOATS].astype(float)
         self._none = np.zeros(self._floats.shape, dtype=bool)
         i, j = np.nonzero(np.isnan(self._floats))
         self._none[i, j] = np.equal(cells[i, j], None)
-        self._flags = cells[:, len(_FLOAT_FIELDS) :].astype(bool)
+        self._flags = cells[:, _N_FLOATS:].astype(bool)
         vectors = n > 0 and entries[0].x is not None
         self._arrays = list(map(_get_arrays, entries)) if vectors else None
 
@@ -209,34 +206,12 @@ class Trace(Sequence[IterationRecord]):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # IndexError out of range, negative i from the end
-        return _rebuild(
-            i,
-            self._floats[i].tolist(),
-            self._none[i].tolist(),
-            self._flags[i].tolist(),
-            _NO_ARRAYS if self._arrays is None else self._arrays[i],
-        )
-
-    def __iter__(self):
-        arrays = self._arrays or [_NO_ARRAYS] * len(self)
-        columns = (self._floats, self._none, self._flags)
-        for k, row in enumerate(zip(*(c.tolist() for c in columns), arrays)):
-            yield _rebuild(k, *row)
-
-
-def _rebuild(k, floats, none, flags, arrays) -> IterationRecord:
-    """The IterationRecord of one packed Trace row."""
-    if True in none:
-        floats = [None if is_none else v for v, is_none in zip(floats, none)]
-    f, stationarity, max_g, t, beta_used, eta, eps, grad_dot_d, f_ref = floats
-    fallback, adaptive, straight_line = flags
-    x, d, s, s_candidate = arrays
-    return IterationRecord(
-        k=k, x=x, f=f, stationarity=stationarity, max_g=max_g, t=t,
-        fallback=fallback, adaptive=adaptive, beta_used=beta_used, eta=eta, eps=eps,
-        grad_dot_d=grad_dot_d, f_ref=f_ref, d=d, s=s, s_candidate=s_candidate,
-        straight_line=straight_line,
-    )
+        floats = self._floats[i].tolist()
+        none = self._none[i].tolist()
+        if True in none:
+            floats = [None if is_none else v for v, is_none in zip(floats, none)]
+        arrays = () if self._arrays is None else self._arrays[i]
+        return IterationRecord(i, *floats, *self._flags[i].tolist(), *arrays)
 
 
 @dataclass
@@ -494,9 +469,9 @@ def solve(
 ) -> RunRecord:
     """Run the named solver from `x0`, or from the problem's projected start.
 
-    `record_trace` is False for no trace, True for a `Trace` of one
-    `IterationRecord` of scalars per iteration, or "vectors" for entries that
-    also hold the iterate and the step's directions.  An unknown solver raises KeyError;
+    `record_trace` is False for no trace, True for one `IterationRecord` of
+    scalars per iteration, or "vectors" for entries that also hold the
+    iterate and the step's directions.  An unknown solver raises KeyError;
     an unknown trace mode, a set of another dimension, or a start (`x0`, else
     `p.start`) not of shape (p.dim,) or with a non-finite entry raises
     ValueError, before any oracle call.
@@ -511,8 +486,7 @@ def solve(
     fields, and its arrays only when `rec.x` is set, that is in a vector trace.
     The loop and the step fill the entry before the search and set `t` after
     it, so when a search fails the last entry describes that step, with `t`
-    None.  The entries are packed into the run's `Trace` after `elapsed` is
-    taken, so packing is not timed.
+    None.
     """
     if solver not in SOLVERS:
         raise KeyError(f"unknown solver {solver!r}; known: {tuple(SOLVERS)}")

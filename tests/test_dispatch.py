@@ -12,6 +12,9 @@ import pytest
 import curveopt
 from curveopt import bench
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "deskbench"))
+from harness import Workload  # noqa: E402
+
 #: runs that an array ** 3 or ** 4 would move with AVX-512 switched off:
 #: they reach powell20's oracles and the ell projection's Newton step
 RUNS = (("powell20", "box", "scs"), ("quad_diag50", "ell", "spg"))
@@ -22,10 +25,7 @@ def outcomes():
     and final_x bytes of each of RUNS on the desk plan's settings."""
     runs = []
     for problem, set_name, solver in RUNS:
-        plan = bench.BenchPlan(
-            (problem,), (set_name,), ((solver, 0),), {"max_iters": 400, "time_limit": 600.0}
-        )
-        (r,) = bench.run_plan(plan)
+        (r,) = bench.run_plan(Workload((problem,), (set_name,), solvers=((solver, 0),)).plan(0))
         runs.append([r.status, repr(r.f_star), r.iterations, r.final_x.tobytes().hex()])
     return np.show_config(mode="dicts")["SIMD Extensions"].get("found", []), runs
 

@@ -1025,7 +1025,9 @@ def test_trace_shares_step_arrays():
 # golden trajectories: (status, iterations, fallbacks, adaptive_reductions)
 # of the n <= 4 desk-plan runs (seed 0, max_iters 400).  A change meant to
 # keep results bit-identical, such as rewriting an array expression, must
-# leave this table as it is.  At n <= 4 no BLAS summation order enters.
+# leave this table as it is.  It holds on OpenBLAS's SkylakeX core: even at
+# n = 2 a 1-D `dot` rounds unlike Haswell's or Prescott's, since SkylakeX's
+# fuses each multiply into its add.
 
 GOLDEN = {
     ("beale2", "box", "scs", 0): ("stationary", 9, 1, 0),
@@ -1229,6 +1231,29 @@ def test_trace_gives_back_none_and_nan_as_recorded():
     trace[0].f = 0.0
     assert trace[0].f == 1.5
     assert len(Trace([])) == 0 and list(Trace([])) == []
+    # every field away from its default and every float distinct, so a
+    # field packed into another's place comes back wrong
+    x, d, s, s_candidate = (np.full(2, v) for v in (1.0, 2.0, 3.0, 4.0))
+    full = IterationRecord(
+        k=0, f=2.5, stationarity=0.125, max_g=-2.0, t=0.5, beta_used=0.45, eta=3.0,
+        eps=0.095, grad_dot_d=-4.0, f_ref=2.75, fallback=True, adaptive=True,
+        straight_line=True, x=x, d=d, s=s, s_candidate=s_candidate,
+    )
+    (got,) = Trace([full])
+    for name in SCALAR_FIELDS:
+        assert repr(getattr(got, name)) == repr(getattr(full, name))
+    for name in VECTOR_FIELDS:
+        assert getattr(got, name) is getattr(full, name)
+
+
+def test_iteration_record_declares_floats_then_flags_then_arrays():
+    # Trace packs the fields after k, the entry's index, in their declared
+    # order, as one float block, one bool block and the arrays
+    kinds = {"float": 0, "float | None": 0, "bool": 1, "Vector | None": 2}
+    k, *packed = dataclasses.fields(IterationRecord)
+    assert (k.name, k.type) == ("k", "int")
+    order = [kinds[f.type] for f in packed]
+    assert order == sorted(order)
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))

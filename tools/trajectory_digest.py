@@ -19,12 +19,13 @@ ran the same trajectories bit for bit.
 A digest holds for one numpy build and one BLAS kernel.  The library
 takes no array power but squares, so numpy's SIMD dispatch level does not
 move a trajectory; OpenBLAS, though, picks a `dot` kernel for the CPU, and
-each kernel sums in its own order.  So a `#` line before the digest
-names numpy's version, the SIMD features it dispatches to (from
-`np.show_config` on numpy 1.25 and later, else "unknown") and the OpenBLAS
-core numpy's BLAS runs on (`OPENBLAS_CORETYPE` overrides it; "unknown"
-where the library names none); compare digests only where the numpy
-version and the BLAS core read alike.
+kernels round differently even for 2-vectors (SkylakeX's fuses each
+multiply into its add, Haswell's and Prescott's do not).  So a `#` line
+before the digest names numpy's version, the SIMD features it dispatches
+to (from `np.show_config` on numpy 1.25 and later, else "unknown") and the
+OpenBLAS core numpy's BLAS runs on (`OPENBLAS_CORETYPE` overrides it;
+"unknown" where the library names none); compare digests only where the
+numpy version and the BLAS core read alike.
 The digest stays the last line.  It exits 1 if a listed column or
 field is missing, or if an entry lacks its iterate or an SCS step entry
 lacks `d`, `s` or `s_candidate`, so that the digest never silently covers
