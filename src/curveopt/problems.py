@@ -4,15 +4,22 @@ A small self-contained suite of classical unconstrained test functions,
 each with a documented start point, used as the objective half of the
 constrained benchmark instances.  Dimensions span n = 2 up to n = 1000.
 
-The problems with n <= 4 (rosenbrock2, beale2, wood4, chnrosnb4) are closed
-forms evaluated on Python floats (`_on_floats`), bit for bit the values of
-their numpy reference, and so is powell20, which walks its groups of four.
-No oracle takes an array power other than a square: numpy's array ** 3 and
-** 4 go to SVML on AVX-512 and round unlike libm, so powell20 and its
-reference write them as products, and its values are the same at every
-SIMD dispatch level.  The other problems keep numpy's vector formulas,
-whose bits a scalar rewrite would not keep: numpy sums 8 or more entries
-pairwise, not left to right (chnrosnb100's sums have 99 terms).
+No oracle takes a power on a scalar, and none takes an array power other
+than a square: a scalar's `**` is libm's pow, which is not correctly
+rounded, and numpy's array ** 3 and ** 4 go to SVML on AVX-512, while an
+array's ** 2 is np.square, a product.  Every other power is written as a
+product (`t * t`, `t * t * t`), which IEEE arithmetic rounds alike on every
+C library and SIMD dispatch level.
+
+The problems with n <= 4 (rosenbrock2, beale2, wood4, chnrosnb4) and
+powell20 are closed forms evaluated on `x.tolist()`: Python floats round
++ - * as numpy's float64 scalars do, at less cost per operation, so each
+is bit for bit its numpy reference.  A product that overflows returns inf
+without a RuntimeWarning; none of the forms divides.  numpy sums fewer
+than 8 entries left to right, so such a sum is written `a + b + c`, never
+`sum()`, which from Python 3.12 on compensates.  The other problems keep
+numpy's vector formulas, whose bits a scalar rewrite would not keep: numpy
+sums 8 or more entries pairwise (chnrosnb100's sums have 99 terms).
 """
 
 from __future__ import annotations
@@ -62,48 +69,17 @@ class SmoothProblem:
 # objective definitions
 
 
-def _on_floats(body):
-    """The oracle `x -> body(x0, x1, ...)`, run on x's entries as Python floats.
-
-    Only for formulas that do not divide.  A Python float rounds + - * / as
-    a numpy float64 scalar does, and both take ** from libm, so the result
-    is bit for bit the one on numpy's scalars, without numpy's cost per
-    scalar operation.  Python raises where numpy returns inf or nan in two
-    places: a power that overflows, and division by zero.  On OverflowError
-    the body runs again on numpy's scalars, which return inf with a
-    RuntimeWarning.
-
-    A square is written as its reference computes it, since `t * t` rounds
-    unlike `t ** 2` at about one value in a thousand.  Where the reference
-    squares a numpy scalar, it stays `t ** 2` (libm's pow).  Where the
-    reference squares an array, it is `t * t`: an array's ** 2 is
-    np.square, a product, and a product never raises OverflowError.  numpy
-    sums fewer than 8 entries left to right, so such a sum is written
-    `a + b + c`, never `sum()`, which from Python 3.12 on compensates.
-    """
-
-    def oracle(x):
-        try:
-            return body(*x.tolist())
-        except OverflowError:
-            return body(*x)
-
-    return oracle
+def _rosenbrock_f(x):
+    x0, x1 = x.tolist()
+    r = x1 - x0 * x0
+    u = 1.0 - x0
+    return 100.0 * (r * r) + u * u
 
 
-@_on_floats
-def _rosenbrock_f(x0, x1):
-    return 100.0 * (x1 - x0**2) ** 2 + (1.0 - x0) ** 2
-
-
-@_on_floats
-def _rosenbrock_grad(x0, x1):
-    return np.array(
-        [
-            -400.0 * x0 * (x1 - x0**2) - 2.0 * (1.0 - x0),
-            200.0 * (x1 - x0**2),
-        ]
-    )
+def _rosenbrock_grad(x):
+    x0, x1 = x.tolist()
+    r = x1 - x0 * x0
+    return np.array([-400.0 * x0 * r - 2.0 * (1.0 - x0), 200.0 * r])
 
 
 def _chained_rosenbrock(scale):
@@ -123,52 +99,59 @@ def _chained_rosenbrock(scale):
     return f, grad
 
 
-@_on_floats
-def _beale_f(x0, x1):
+def _beale_f(x):
+    x0, x1 = x.tolist()
     t1 = 1.5 - x0 + x0 * x1
-    t2 = 2.25 - x0 + x0 * x1**2
-    t3 = 2.625 - x0 + x0 * x1**3
-    return t1**2 + t2**2 + t3**2
+    t2 = 2.25 - x0 + x0 * (x1 * x1)
+    t3 = 2.625 - x0 + x0 * (x1 * x1 * x1)
+    return t1 * t1 + t2 * t2 + t3 * t3
 
 
-@_on_floats
-def _beale_grad(x0, x1):
+def _beale_grad(x):
+    x0, x1 = x.tolist()
+    x1_2 = x1 * x1
+    x1_3 = x1 * x1 * x1
     t1 = 1.5 - x0 + x0 * x1
-    t2 = 2.25 - x0 + x0 * x1**2
-    t3 = 2.625 - x0 + x0 * x1**3
-    g0 = 2.0 * t1 * (x1 - 1.0) + 2.0 * t2 * (x1**2 - 1.0) + 2.0 * t3 * (x1**3 - 1.0)
-    g1 = 2.0 * t1 * x0 + 2.0 * t2 * 2.0 * x0 * x1 + 2.0 * t3 * 3.0 * x0 * x1**2
+    t2 = 2.25 - x0 + x0 * x1_2
+    t3 = 2.625 - x0 + x0 * x1_3
+    g0 = 2.0 * t1 * (x1 - 1.0) + 2.0 * t2 * (x1_2 - 1.0) + 2.0 * t3 * (x1_3 - 1.0)
+    g1 = 2.0 * t1 * x0 + 2.0 * t2 * 2.0 * x0 * x1 + 2.0 * t3 * 3.0 * x0 * x1_2
     return np.array([g0, g1])
 
 
-@_on_floats
-def _wood_f(x0, x1, x2, x3):
+def _wood_f(x):
+    x0, x1, x2, x3 = x.tolist()
+    r0 = x1 - x0 * x0
+    r2 = x3 - x2 * x2
+    u0 = 1.0 - x0
+    u2 = 1.0 - x2
+    s = x1 + x3 - 2.0
+    d = x1 - x3
     return (
-        100.0 * (x1 - x0**2) ** 2
-        + (1.0 - x0) ** 2
-        + 90.0 * (x3 - x2**2) ** 2
-        + (1.0 - x2) ** 2
-        + 10.0 * (x1 + x3 - 2.0) ** 2
-        + 0.1 * (x1 - x3) ** 2
+        100.0 * (r0 * r0) + u0 * u0 + 90.0 * (r2 * r2) + u2 * u2 + 10.0 * (s * s) + 0.1 * (d * d)
     )
 
 
-@_on_floats
-def _wood_grad(x0, x1, x2, x3):
+def _wood_grad(x):
+    x0, x1, x2, x3 = x.tolist()
+    r0 = x1 - x0 * x0
+    r2 = x3 - x2 * x2
+    s = x1 + x3 - 2.0
+    d = x1 - x3
     return np.array(
         [
-            -400.0 * x0 * (x1 - x0**2) - 2.0 * (1.0 - x0),
-            200.0 * (x1 - x0**2) + 20.0 * (x1 + x3 - 2.0) + 0.2 * (x1 - x3),
-            -360.0 * x2 * (x3 - x2**2) - 2.0 * (1.0 - x2),
-            180.0 * (x3 - x2**2) + 20.0 * (x1 + x3 - 2.0) - 0.2 * (x1 - x3),
+            -400.0 * x0 * r0 - 2.0 * (1.0 - x0),
+            200.0 * r0 + 20.0 * s + 0.2 * d,
+            -360.0 * x2 * r2 - 2.0 * (1.0 - x2),
+            180.0 * r2 + 20.0 * s - 0.2 * d,
         ]
     )
 
 
-# chnrosnb4: _chained_rosenbrock(1.0) at n = 4, whose array ** 2 is a
-# product and whose 3-entry sums run left to right
-@_on_floats
-def _chnrosnb4_f(x0, x1, x2, x3):
+# chnrosnb4: _chained_rosenbrock(1.0) at n = 4, whose 3-entry sums run left
+# to right
+def _chnrosnb4_f(x):
+    x0, x1, x2, x3 = x.tolist()
     r0 = x1 - x0 * x0
     r1 = x2 - x1 * x1
     r2 = x3 - x2 * x2
@@ -178,8 +161,8 @@ def _chnrosnb4_f(x0, x1, x2, x3):
     return 100.0 * (r0 * r0 + r1 * r1 + r2 * r2) + (u0 * u0 + u1 * u1 + u2 * u2)
 
 
-@_on_floats
-def _chnrosnb4_grad(x0, x1, x2, x3):
+def _chnrosnb4_grad(x):
+    x0, x1, x2, x3 = x.tolist()
     r0 = x1 - x0 * x0
     r1 = x2 - x1 * x1
     r2 = x3 - x2 * x2
@@ -292,13 +275,15 @@ def _engval1(n):
 
 def _arwhead(n):
     def f(x):
-        return float(_sum((x[:-1] ** 2 + x[-1] ** 2) ** 2 - 4.0 * x[:-1] + 3.0))
+        last = x[-1]
+        return float(_sum((x[:-1] ** 2 + last * last) ** 2 - 4.0 * x[:-1] + 3.0))
 
     def grad(x):
-        t = x[:-1] ** 2 + x[-1] ** 2
+        last = x[-1]
+        t = x[:-1] ** 2 + last * last
         g = np.zeros(x.shape)
         g[:-1] = 4.0 * x[:-1] * t - 4.0
-        g[-1] += _sum(4.0 * x[-1] * t)
+        g[-1] += _sum(4.0 * last * t)
         return g
 
     return f, grad
@@ -311,8 +296,9 @@ def _tridiagonal(n, scale):
     minus_two_idx = -2.0 * idx
 
     def f(x):
+        u = x[0] - 1.0
         r = 2.0 * x[1:] - x[:-1]
-        return scale * float((x[0] - 1.0) ** 2 + _sum(idx * r**2))
+        return scale * float(u * u + _sum(idx * r**2))
 
     def grad(x):
         r = 2.0 * x[1:] - x[:-1]

@@ -1043,7 +1043,7 @@ GOLDEN = {
     ("beale2", "ell", "spg", 0): ("stationary", 129, 0, 0),
     ("beale2", "ell", "spg", 10): ("stationary", 34, 0, 0),
     ("beale2", "sph", "scs", 0): ("stationary", 50, 1, 0),
-    ("beale2", "sph", "scs", 10): ("stationary", 101, 1, 0),
+    ("beale2", "sph", "scs", 10): ("stationary", 100, 1, 0),
     ("beale2", "sph", "spg", 0): ("stationary", 71, 0, 0),
     ("beale2", "sph", "spg", 10): ("stationary", 38, 0, 0),
     ("chnrosnb4", "box", "scs", 0): ("stationary", 22, 2, 2),
@@ -1082,10 +1082,10 @@ GOLDEN = {
     ("wood4", "box", "scs", 10): ("stationary", 1, 1, 0),
     ("wood4", "box", "spg", 0): ("stationary", 1, 0, 0),
     ("wood4", "box", "spg", 10): ("stationary", 1, 0, 0),
-    ("wood4", "com", "scs", 0): ("stationary", 105, 1, 0),
+    ("wood4", "com", "scs", 0): ("stationary", 152, 1, 0),
     ("wood4", "com", "scs", 10): ("stationary", 145, 1, 0),
     ("wood4", "com", "spg", 0): ("stationary", 23, 0, 0),
-    ("wood4", "com", "spg", 10): ("stationary", 333, 0, 0),
+    ("wood4", "com", "spg", 10): ("stationary", 321, 0, 0),
     ("wood4", "ell", "scs", 0): ("stationary", 125, 1, 0),
     ("wood4", "ell", "scs", 10): ("stationary", 175, 1, 0),
     ("wood4", "ell", "spg", 0): ("stationary", 27, 0, 0),

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +24,11 @@ def load_tool():
 #: first, so under those cores the entry counts and digests differ.  Each
 #: failure message is the tool's `#` line, which names the core.  A change
 #: that moves a trajectory on purpose re-pins it and says so.
-ROSENBROCK2_DIGEST = "10d4ea59a700bc02df0c557fa828863d585437667dc5ea6c6d2530b48ed92b80"
+ROSENBROCK2_DIGEST = "1e3edbdda1af30bd6ecff4cc2027c29287665b367ca6da7c3fcf8d79a80d325c"
 
 #: beale2's desk-plan digest on the same core; it pins the trajectories of
 #: an oracle evaluated on Python floats
-BEALE2_DIGEST = "e31b833d4648511dc0be0471536183c4086f870e0b0ae85e39e614d18f52c358"
+BEALE2_DIGEST = "8fdc19ab5c9792c11d02f4b87b7b648dd17fa0a2268b0486e14d82e08453de54"
 
 
 def test_digest_of_one_problem_is_complete_and_repeatable():
@@ -47,7 +48,7 @@ def test_digest_of_beale2_is_pinned():
     tool = load_tool()
     build = tool.numpy_build()
     hexdigest, runs, entries, lacking = tool.digest(("beale2",))
-    assert (runs, entries, lacking) == (16, 885, 0), build
+    assert (runs, entries, lacking) == (16, 884, 0), build
     assert hexdigest == BEALE2_DIGEST, build
 
 
@@ -57,15 +58,19 @@ def test_main_names_the_numpy_build_before_the_digest(monkeypatch, capsys):
     assert tool.main() == 0
     build, last = capsys.readouterr().out.splitlines()
     core = tool.blas_core()
+    libc = " ".join(platform.libc_ver()).strip() or "unknown"
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.25
-        assert build == f"# numpy {np.__version__}; SIMD features unknown; BLAS core {core}"
+        assert build == (
+            f"# numpy {np.__version__}; SIMD features unknown; BLAS core {core}; "
+            f"C library {libc}"
+        )
     else:
         simd = config["SIMD Extensions"]
         assert build == (
             f"# numpy {np.__version__}; SIMD baseline {' '.join(simd['baseline']) or 'none'}; "
-            f"dispatched {' '.join(simd['found']) or 'none'}; BLAS core {core}"
+            f"dispatched {' '.join(simd['found']) or 'none'}; BLAS core {core}; C library {libc}"
         )
         if config["Build Dependencies"]["blas"]["name"] == "scipy-openblas":
             assert core != "unknown"
@@ -77,8 +82,19 @@ def test_numpy_build_without_simd_report_says_unknown(monkeypatch):
     tool = load_tool()
     monkeypatch.setattr(tool.np, "show_config", lambda: None)
     assert tool.numpy_build() == (
-        f"# numpy {np.__version__}; SIMD features unknown; BLAS core {tool.blas_core()}"
+        f"# numpy {np.__version__}; SIMD features unknown; BLAS core {tool.blas_core()}; "
+        f"C library {tool.c_library()}"
     )
+
+
+def test_c_library_names_glibc_and_its_version_or_says_unknown(monkeypatch):
+    # trigls10's np.cos and np.sin round as libm does, so a digest holds for
+    # one C library; platform.libc_ver reads ("", "") where it finds none
+    tool = load_tool()
+    monkeypatch.setattr(tool.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    assert tool.c_library() == "glibc 2.36"
+    monkeypatch.setattr(tool.platform, "libc_ver", lambda: ("", ""))
+    assert tool.c_library() == "unknown"
 
 
 def test_blas_core_follows_openblas_coretype():

@@ -16,16 +16,19 @@ Both lists are fixed, so a column or field added later leaves the digest of
 an unchanged trajectory as it was.  Two checkouts that print the same digest
 ran the same trajectories bit for bit.
 
-A digest holds for one numpy build and one BLAS kernel.  The library
-takes no array power but squares, so numpy's SIMD dispatch level does not
-move a trajectory; OpenBLAS, though, picks a `dot` kernel for the CPU, and
-kernels round differently even for 2-vectors (SkylakeX's fuses each
-multiply into its add, Haswell's and Prescott's do not).  So a `#` line
-before the digest names numpy's version, the SIMD features it dispatches
-to (from `np.show_config` on numpy 1.25 and later, else "unknown") and the
-OpenBLAS core numpy's BLAS runs on (`OPENBLAS_CORETYPE` overrides it;
-"unknown" where the library names none); compare digests only where the
-numpy version and the BLAS core read alike.
+A digest holds for one numpy build, one BLAS kernel and one C library.
+The library takes no power but an array's square, a product, so numpy's
+SIMD dispatch level does not move a trajectory; OpenBLAS, though, picks a
+`dot` kernel for the CPU, and kernels round differently even for
+2-vectors (SkylakeX's fuses each multiply into its add, Haswell's and
+Prescott's do not).  trigls10's `np.cos` and `np.sin` are the last libm
+functions a run calls, and libm rounds them as its version does.  So a
+`#` line before the digest names numpy's version, the SIMD features it
+dispatches to (from `np.show_config` on numpy 1.25 and later, else
+"unknown"), the OpenBLAS core numpy's BLAS runs on (`OPENBLAS_CORETYPE`
+overrides it; "unknown" where the library names none) and the C library
+(from `platform.libc_ver`, else "unknown"); compare digests only where the
+numpy version, the BLAS core and the C library read alike.
 The digest stays the last line.  It exits 1 if a listed column or
 field is missing, or if an entry lacks its iterate or an SCS step entry
 lacks `d`, `s` or `s_candidate`, so that the digest never silently covers
@@ -40,6 +43,7 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
+import platform
 import sys
 from pathlib import Path
 
@@ -137,9 +141,14 @@ def blas_core() -> str:
     return "unknown"
 
 
+def c_library() -> str:
+    """The C library and its version, such as "glibc 2.36", or "unknown"."""
+    return " ".join(part for part in platform.libc_ver() if part) or "unknown"
+
+
 def numpy_build() -> str:
     """The `#` line naming numpy's version, SIMD baseline and dispatched
-    features, and the BLAS core."""
+    features, the BLAS core and the C library."""
     try:
         simd = np.show_config(mode="dicts").get("SIMD Extensions")
     except TypeError:  # numpy < 1.25 has no mode
@@ -150,7 +159,10 @@ def numpy_build() -> str:
         baseline = " ".join(simd.get("baseline", ())) or "none"
         found = " ".join(simd.get("found", ())) or "none"
         features = f"SIMD baseline {baseline}; dispatched {found}"
-    return f"# numpy {np.__version__}; {features}; BLAS core {blas_core()}"
+    return (
+        f"# numpy {np.__version__}; {features}; BLAS core {blas_core()}; "
+        f"C library {c_library()}"
+    )
 
 
 def main() -> int:
