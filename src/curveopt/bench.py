@@ -9,6 +9,7 @@ instances solved by at least one solver.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -356,11 +357,13 @@ def performance_profile(
             else:
                 ratios[s].append(1.0 if values[s] == best else math.inf)
 
+    # the ratios at most tau are the first bisect_right(ordered, tau) of the
+    # sorted ones; a NaN never counts, so it is left out before sorting
     count = len(included)
-    rho = {
-        s: tuple(sum(1 for v in ratios[s] if v <= tau) / count for tau in tau_grid)
-        for s in solvers
-    }
+    rho = {}
+    for s in solvers:
+        ordered = sorted(v for v in ratios[s] if not math.isnan(v))
+        rho[s] = tuple(bisect.bisect_right(ordered, tau) / count for tau in tau_grid)
     return ProfileTable(
         metric=metric, tau_grid=tau_grid, rho=rho, included_instances=tuple(included)
     )

@@ -11,6 +11,10 @@ Four shipped configurations, addressable by short name:
 Every projection is exact: sph/box are closed form; ell uses 1-D root
 finding on the KKT multiplier; com nests two 1-D multiplier searches, one
 for the ball and one for the halfspace, with the box handled by clipping.
+The halfspace's bisects its breakpoints.  The ball's steps to the root of
+the piece of ||x(lam) - c||^2 that holds its last trial, which has a closed
+form because the halfspace's normal is uniform, and bisects its bracket
+where that root falls outside it.
 
 ell's seeded diagonal is drawn by an in-repo PCG64 (`_uniform`) that
 reproduces numpy's `default_rng(seed).uniform` stream bit for bit, so an
@@ -277,13 +281,10 @@ def make_composite(n: int) -> ConvexFeasibleSet:
     # ball:  x(lam) = P(a), a = c + (z - c) / (1 + lam), where
     # P(a) = clip(a - nu w, lo, hi) projects onto the halfspace and the box
     # with nu >= 0 the (scaled) halfspace multiplier.  The search for lam
-    # aims at radius rt, the middle of its acceptance window, so that
+    # aims at ||x - c||^2 = rt2, the middle of its acceptance window, so that
     # rounding at the root cannot keep every trial out of the window.
-    rt = math.sqrt(r2 - 0.5 * _COM_ROOT_TOL)
-
-    def psi(d2):
-        """1/rt - 1/||x - c|| for d2 = ||x - c||^2."""
-        return 1.0 / rt - 1.0 / math.sqrt(d2) if d2 > 0.0 else -math.inf
+    rt2 = r2 - 0.5 * _COM_ROOT_TOL
+    rt = math.sqrt(rt2)
 
     def d2_of(x):
         """||x - c||^2."""
@@ -297,10 +298,11 @@ def make_composite(n: int) -> ConvexFeasibleSet:
         return float(w.dot(x)) - 5.0
 
     def project_halfspace_box(a):
+        """(P(a), whether the halfspace is active at it)."""
         x_i = _clip(a, lo, hi)
         h_i = h(x_i)
         if h_i <= 0.0:
-            return x_i
+            return x_i, False
         # h(x_of(a, nu)) is nonincreasing in nu and x_of(a, nu) is affine
         # between consecutive breakpoints, where a coordinate leaves hi or
         # reaches lo; at the last one every coordinate is at lo and
@@ -321,7 +323,33 @@ def make_composite(n: int) -> ConvexFeasibleSet:
                 i, x_i, h_i = m, x_m, h_m
             else:
                 j, x_j, h_j = m, x_m, h_m
-        return x_i + (h_i / (h_i - h_j)) * (x_j - x_i)
+        return x_i + (h_i / (h_i - h_j)) * (x_j - x_i), True
+
+    def piece_root(v, x, on_halfspace):
+        """The lam at which ||x(lam) - c||^2 = rt2 would hold if the bounds
+        and the halfspace active at the trial x stayed active, or NaN.
+
+        With s = 1/(1 + lam), F the coordinates strictly inside (lo, hi) at
+        x and C the sum of (x_i - c_i)^2 off F:  while the halfspace is
+        inactive, x_F - c_F = v_F s and ||x - c||^2 = s^2 sum(v_F^2) + C.
+        While it is active, sum(x) = 5n, so x_F - c_F = (v_F - m) s + kappa
+        with m the mean of v_F and kappa the mean of x_F - c_F,
+        (5n - sum_{i not in F} x_i) / |F| - 4 = (n - sum_{i not in F}
+        (x_i - c_i)) / |F|; the cross term vanishes, and
+        ||x - c||^2 = s^2 sum((v_F - m)^2) + |F| kappa^2 + C.
+        """
+        free = (lo < x) & (x < hi)
+        u = (x - c)[~free]
+        v_f = v[free]
+        k = len(v_f)
+        rest = rt2 - float(u.dot(u))
+        if on_halfspace and k:
+            kappa = (n - float(_sum(u))) / k
+            v_f = v_f - float(_sum(v_f)) / k
+            rest -= k * kappa * kappa
+        den = float(v_f.dot(v_f))
+        s = math.sqrt(rest / den) if rest > 0.0 and den > 0.0 else 0.0
+        return 1.0 / s - 1.0 if s > 0.0 else math.nan
 
     def project(z):
         z = np.asarray(z, dtype=float)
@@ -333,33 +361,28 @@ def make_composite(n: int) -> ConvexFeasibleSet:
         # inside the ball lam = 0, and at the radial lam_hi, where
         # ||a - c|| = rt, ||x - c|| <= rt < r and the root lies in [0, lam_hi].
         if dz2 <= r2:
-            return project_halfspace_box(z)
+            return project_halfspace_box(z)[0]
         lam_hi = math.sqrt(dz2) / rt - 1.0
-        x_hi = project_halfspace_box(c + v / (1.0 + lam_hi))
-        d2_hi = d2_of(x_hi)
-        if d2_hi >= r2 - _COM_ROOT_TOL:
+        x_hi, on_halfspace = project_halfspace_box(c + v / (1.0 + lam_hi))
+        if d2_of(x_hi) >= r2 - _COM_ROOT_TOL:
             return x_hi
-        x = project_halfspace_box(z)
-        d2 = d2_of(x)
-        if d2 <= r2:
-            return x
+        x_0 = project_halfspace_box(z)[0]
+        if d2_of(x_0) <= r2:
+            return x_0
         # d2(lam) = ||x(lam) - c||^2 is nonincreasing; return the first x(lam)
-        # with r2 - _COM_ROOT_TOL <= d2 <= r2.  Secant steps on psi, which is
-        # linear in lam while neither the halfspace nor a bound is active,
-        # safeguarded by bisection of the bracket (lam_lo, lam_hi).
-        lam_lo, lam_prev, psi_prev = 0.0, 0.0, psi(d2)
-        lam, psi_lam = lam_hi, psi(d2_hi)
+        # with r2 - _COM_ROOT_TOL <= d2 <= r2.  Each step goes to the root of
+        # the piece of d2 that holds the last trial x, in closed form, and
+        # falls back to bisection of the bracket (lam_lo, lam_hi) when that
+        # root leaves it or does not exist.  The first step starts from the
+        # radial trial, whose active set is nearer the root's than z's is.
+        lam_lo, x = 0.0, x_hi
         for _ in range(_COM_MAX_ITERS):
             if lam_hi - lam_lo <= 4.0 * math.ulp(lam_hi):
                 return x_hi
-            step = (
-                lam - psi_lam * (lam - lam_prev) / (psi_lam - psi_prev)
-                if psi_lam != psi_prev
-                else math.nan
-            )
-            lam_prev, psi_prev = lam, psi_lam
-            lam = step if lam_lo < step < lam_hi else 0.5 * (lam_lo + lam_hi)
-            x = project_halfspace_box(c + v / (1.0 + lam))
+            lam = piece_root(v, x, on_halfspace)
+            if not lam_lo < lam < lam_hi:  # NaN too
+                lam = 0.5 * (lam_lo + lam_hi)
+            x, on_halfspace = project_halfspace_box(c + v / (1.0 + lam))
             d2 = d2_of(x)
             if d2 > r2:
                 lam_lo = lam
@@ -367,7 +390,6 @@ def make_composite(n: int) -> ConvexFeasibleSet:
                 return x
             else:
                 lam_hi, x_hi = lam, x
-            psi_lam = psi(d2)
         raise ProjectionError("composite projection: multiplier search did not converge")
 
     return ConvexFeasibleSet("com", n, g, project)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -417,6 +418,32 @@ def test_profile_zero_best_metric():
     table = performance_profile(recs, "iters", [1.0, 100.0])
     assert table.rho["scs-M0"] == (1.0, 1.0)
     assert table.rho["spg-M0"] == (0.0, 0.0)
+
+
+def test_profile_counts_as_a_plain_scan_does():
+    # scs's ratio on instance i is ratios[i]: elapsed q against spg's 1.0,
+    # a failed run for inf, and elapsed inf for both solvers for NaN (inf /
+    # inf), which spg then shares; a NaN never counts, and inf counts at
+    # tau = inf only
+    rng = np.random.default_rng(21)
+    grid = [1.0, 1.25, 1.5, 2.0, 3.5, 10.0, math.inf]
+    for _ in range(20):
+        ratios = rng.choice([1.0, 1.25, 2.0, 2.0, 3.5, math.inf, math.nan], size=30)
+        recs = []
+        for i, q in enumerate(ratios):
+            if math.isnan(q):
+                scs, spg = mk(elapsed=math.inf), math.inf
+            elif math.isinf(q):
+                scs, spg = mk(status="iter_limit"), 1.0
+            else:
+                scs, spg = mk(elapsed=q), 1.0
+            recs.append(dataclasses.replace(scs, problem_name=f"p{i}"))
+            recs.append(mk(solver="spg", problem=f"p{i}", elapsed=spg))
+        table = performance_profile(recs, "time", grid)
+        spg_ratios = [math.nan if math.isnan(q) else 1.0 for q in ratios]
+        for s, rs in (("scs-M0", ratios), ("spg-M0", spg_ratios)):
+            plain = tuple(sum(1 for v in rs if v <= tau) / len(rs) for tau in grid)
+            assert table.rho[s] == plain
 
 
 def test_profile_empty_raises():

@@ -395,6 +395,34 @@ def test_composite_projection_without_iterations_raises(monkeypatch):
         c.project(np.array([30.0, -20.0, 4.0]))
 
 
+#: loop passes allowed in the two tests below.  Stepping to the root of the
+#: active piece needs at most 2 on their points (2 on the far point, and 2,
+#: 2 and 1 at n = 2, 4 and 10); 4 leaves a margin of 2.  Secant steps on
+#: 1/rt - 1/||x - c|| needed 15 on the far point and 9, 13 and 6 on the
+#: uniform ones.
+COM_PASSES = 4
+
+
+def test_composite_projection_of_a_far_point_takes_few_passes(monkeypatch):
+    # a point a wood4/com run projects: ball and halfspace are both active
+    # at its projection, and x_1 sits on the upper bound
+    monkeypatch.setattr(curveopt.sets, "_COM_MAX_ITERS", COM_PASSES)
+    c = make_composite(4)
+    p = c.project(np.array([2239.26, 681.56, 2015.71, 617.83]))
+    g = c.g(p)
+    assert abs(g[0]) <= 1e-10 and abs(g[1]) <= 1e-10
+    assert p[0] == 10.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_composite_projection_takes_few_passes(monkeypatch, n):
+    monkeypatch.setattr(curveopt.sets, "_COM_MAX_ITERS", COM_PASSES)
+    c = make_composite(n)
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        assert c.max_violation(c.project(rng.uniform(-30.0, 30.0, n))) <= FEAS_TOL
+
+
 # ---------------------------------------------------------------------------
 # ellipsoid and composite, against their formulas written out plainly
 
@@ -446,17 +474,16 @@ def plain_ellipsoid(p):
 
 
 def plain_composite_projection(n):
-    """make_composite's projection with ||x - c||^2 written out at each use:
-    the reference for its shared squared distance."""
+    """make_composite's projection with ||x - c||^2 and the root of the
+    active piece written out at each use: the reference for its shared
+    squared distance and its step."""
     c = np.full(n, 4.0)
     w = np.full(n, 1.0 / n)
     lo, hi = -5.0, 10.0
     r2 = 100.0
     tol = 1e-11
-    rt = math.sqrt(r2 - 0.5 * tol)
-
-    def psi(d2):
-        return 1.0 / rt - 1.0 / math.sqrt(d2) if d2 > 0.0 else -math.inf
+    rt2 = r2 - 0.5 * tol
+    rt = math.sqrt(rt2)
 
     def x_of(a, nu):
         return np.minimum(np.maximum(a - nu * w, lo), hi)
@@ -468,7 +495,7 @@ def plain_composite_projection(n):
         x_i = np.minimum(np.maximum(a, lo), hi)
         h_i = h(x_i)
         if h_i <= 0.0:
-            return x_i
+            return x_i, False
         nodes = np.sort(np.concatenate(((a - hi) / w, (a - lo) / w)))
         nodes = nodes[nodes > 0.0]
         i, j = -1, len(nodes) - 1
@@ -482,36 +509,42 @@ def plain_composite_projection(n):
                 i, x_i, h_i = m, x_m, h_m
             else:
                 j, x_j, h_j = m, x_m, h_m
-        return x_i + (h_i / (h_i - h_j)) * (x_j - x_i)
+        return x_i + (h_i / (h_i - h_j)) * (x_j - x_i), True
 
     def project(z):
         z = np.asarray(z, dtype=float)
         v = z - c
         dz2 = float(np.dot(v, v))
         if dz2 <= r2:
-            return project_halfspace_box(z)
+            return project_halfspace_box(z)[0]
         lam_hi = math.sqrt(dz2) / rt - 1.0
-        x_hi = project_halfspace_box(c + v / (1.0 + lam_hi))
-        d2_hi = float(np.dot(x_hi - c, x_hi - c))
-        if d2_hi >= r2 - tol:
+        x_hi, active = project_halfspace_box(c + v / (1.0 + lam_hi))
+        if float(np.dot(x_hi - c, x_hi - c)) >= r2 - tol:
             return x_hi
-        x = project_halfspace_box(z)
-        d2 = float(np.dot(x - c, x - c))
-        if d2 <= r2:
-            return x
-        lam_lo, lam_prev, psi_prev = 0.0, 0.0, psi(d2)
-        lam, psi_lam = lam_hi, psi(d2_hi)
+        x_0 = project_halfspace_box(z)[0]
+        if float(np.dot(x_0 - c, x_0 - c)) <= r2:
+            return x_0
+        lam_lo, x = 0.0, x_hi
         while True:
             if lam_hi - lam_lo <= 4.0 * math.ulp(lam_hi):
                 return x_hi
-            step = (
-                lam - psi_lam * (lam - lam_prev) / (psi_lam - psi_prev)
-                if psi_lam != psi_prev
-                else math.nan
-            )
-            lam_prev, psi_prev = lam, psi_lam
-            lam = step if lam_lo < step < lam_hi else 0.5 * (lam_lo + lam_hi)
-            x = project_halfspace_box(c + v / (1.0 + lam))
+            # ||x(lam) - c||^2 = s^2 den + rt2 - rest on the piece that holds
+            # x, with s = 1 / (1 + lam); step to where it equals rt2
+            free = (x > lo) & (x < hi)
+            u_bound = x[~free] - c[~free]
+            v_free = v[free]
+            k = len(v_free)
+            rest = rt2 - float(np.dot(u_bound, u_bound))
+            if active and k > 0:
+                kappa = (n - u_bound.sum()) / k
+                v_free = v_free - v_free.mean()
+                rest = rest - k * kappa * kappa
+            den = float(np.dot(v_free, v_free))
+            s = math.sqrt(rest / den) if rest > 0.0 and den > 0.0 else 0.0
+            lam = 1.0 / s - 1.0 if s > 0.0 else math.nan
+            if not lam_lo < lam < lam_hi:
+                lam = 0.5 * (lam_lo + lam_hi)
+            x, active = project_halfspace_box(c + v / (1.0 + lam))
             d2 = float(np.dot(x - c, x - c))
             if d2 > r2:
                 lam_lo = lam
@@ -519,7 +552,6 @@ def plain_composite_projection(n):
                 return x
             else:
                 lam_hi, x_hi = lam, x
-            psi_lam = psi(d2)
 
     return project
 

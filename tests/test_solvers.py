@@ -1082,10 +1082,10 @@ GOLDEN = {
     ("wood4", "box", "scs", 10): ("stationary", 1, 1, 0),
     ("wood4", "box", "spg", 0): ("stationary", 1, 0, 0),
     ("wood4", "box", "spg", 10): ("stationary", 1, 0, 0),
-    ("wood4", "com", "scs", 0): ("stationary", 152, 1, 0),
-    ("wood4", "com", "scs", 10): ("stationary", 145, 1, 0),
+    ("wood4", "com", "scs", 0): ("stationary", 143, 1, 0),
+    ("wood4", "com", "scs", 10): ("stationary", 128, 1, 0),
     ("wood4", "com", "spg", 0): ("stationary", 23, 0, 0),
-    ("wood4", "com", "spg", 10): ("stationary", 321, 0, 0),
+    ("wood4", "com", "spg", 10): ("stationary", 365, 0, 0),
     ("wood4", "ell", "scs", 0): ("stationary", 125, 1, 0),
     ("wood4", "ell", "scs", 10): ("stationary", 175, 1, 0),
     ("wood4", "ell", "spg", 0): ("stationary", 27, 0, 0),

@@ -24,7 +24,7 @@ def load_tool():
 #: first, so under those cores the entry counts and digests differ.  Each
 #: failure message is the tool's `#` line, which names the core.  A change
 #: that moves a trajectory on purpose re-pins it and says so.
-ROSENBROCK2_DIGEST = "1e3edbdda1af30bd6ecff4cc2027c29287665b367ca6da7c3fcf8d79a80d325c"
+ROSENBROCK2_DIGEST = "72f2f1352d45496d610c8a92071c977f86b562634a309bf697ec855213ec18f8"
 
 #: beale2's desk-plan digest on the same core; it pins the trajectories of
 #: an oracle evaluated on Python floats
@@ -42,6 +42,16 @@ def test_digest_of_one_problem_is_complete_and_repeatable():
     assert lacking == 0
     assert hexdigest == ROSENBROCK2_DIGEST, build
     assert tool.digest(("rosenbrock2",))[0] == hexdigest
+
+
+def test_digest_covers_the_sets_it_is_given():
+    # rosenbrock2 on com alone is 4 (solver, M) pairs, and the digest of a
+    # part of the plan differs from the whole plan's
+    tool = load_tool()
+    hexdigest, runs, entries, lacking = tool.digest(("rosenbrock2",), sets=("com",))
+    assert runs == 4
+    assert 0 < entries < 2503 and lacking == 0
+    assert hexdigest != ROSENBROCK2_DIGEST
 
 
 def test_digest_of_beale2_is_pinned():

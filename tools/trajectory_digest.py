@@ -14,7 +14,10 @@ prints one digest over
 
 Both lists are fixed, so a column or field added later leaves the digest of
 an unchanged trajectory as it was.  Two checkouts that print the same digest
-ran the same trajectories bit for bit.
+ran the same trajectories bit for bit.  `digest(problems, sets)` covers a
+part of the plan, such as `digest(sets=("sph", "ell", "box"))` to show that
+a change to one set's projection leaves the runs on the others as they were;
+the script prints the digest of the whole plan.
 
 A digest holds for one numpy build, one BLAS kernel and one C library.
 The library takes no power but an array's square, a product, so numpy's
@@ -98,15 +101,16 @@ def _lacks_vectors(solver: str, rec) -> bool:
     return any(getattr(rec, name) is None for name in names)
 
 
-def digest(problems=DESK_PROBLEMS) -> tuple[str, int, int, int]:
-    """(hex digest, runs, trace entries, entries lacking arrays); one problem's plan at a time."""
+def digest(problems=DESK_PROBLEMS, sets=SET_NAMES) -> tuple[str, int, int, int]:
+    """(hex digest, runs, trace entries, entries lacking arrays) over the
+    desk plan of `problems` on `sets`, one problem's plan at a time."""
     missing = set(TRACE_FIELDS) - {f.name for f in dataclasses.fields(IterationRecord)}
     if missing:
         sys.exit(f"error: IterationRecord lacks the fields {sorted(missing)}")
     h = hashlib.sha256()
     runs = entries = lacking = 0
     for problem in sorted(problems):
-        plan = Workload((problem,), SET_NAMES).plan(SEED)
+        plan = Workload((problem,), tuple(sets)).plan(SEED)
         records = bench.run_plan(plan, record_trace="vectors")
         h.update(_v1_records(records))
         for r in records:
