@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from dataclasses import fields
 
@@ -431,13 +430,9 @@ def test_profile_counts_as_a_plain_scan_does():
         ratios = rng.choice([1.0, 1.25, 2.0, 2.0, 3.5, math.inf, math.nan], size=30)
         recs = []
         for i, q in enumerate(ratios):
-            if math.isnan(q):
-                scs, spg = mk(elapsed=math.inf), math.inf
-            elif math.isinf(q):
-                scs, spg = mk(status="iter_limit"), 1.0
-            else:
-                scs, spg = mk(elapsed=q), 1.0
-            recs.append(dataclasses.replace(scs, problem_name=f"p{i}"))
+            spg = math.inf if math.isnan(q) else 1.0
+            status = "iter_limit" if math.isinf(q) else "stationary"
+            recs.append(mk(problem=f"p{i}", status=status, elapsed=spg if math.isnan(q) else q))
             recs.append(mk(solver="spg", problem=f"p{i}", elapsed=spg))
         table = performance_profile(recs, "time", grid)
         spg_ratios = [math.nan if math.isnan(q) else 1.0 for q in ratios]
