@@ -8,9 +8,13 @@ Four shipped configurations, addressable by short name:
   com  -- sphere + halfspace + box intersection
   box  -- coordinate bounds     lo <= x_i <= hi (default [-1, 1])
 
-Every projection is exact: sph/box are closed form; ell uses 1-D root
-finding on the KKT multiplier; com nests two 1-D multiplier searches, one
-for the ball and one for the halfspace, with the box handled by clipping.
+Every projection is exact: sph/box are closed form; ell runs Newton's
+method on the secular equation of its KKT multiplier, which climbs to the
+root from 0 with no bracket, since 1/||x(lam) - c||_P is concave and
+increasing in lam as for a trust-region step (More & Sorensen 1983,
+"Computing a trust region step"), so every z with a finite g(z) projects;
+com nests two 1-D multiplier searches, one for the ball and one for the
+halfspace, with the box handled by clipping.
 The halfspace's bisects its breakpoints.  The ball's steps to the root of
 the piece of ||x(lam) - c||^2 that holds its last trial, which has a closed
 form because the halfspace's normal is uniform, and bisects its bracket
@@ -221,40 +225,21 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
         if not math.isfinite(gz):
             raise ProjectionError("ellipsoid projection: g(z) is not finite")
         pd = p * d
-        dphi_num = -4.0 * p * d * d
-        # KKT of min ||x - z||^2 s.t. g(x) <= 0:  x(lam) = c + p d / (p + 2 lam)
-        def phi(lam):
-            w = pd / (p + 2.0 * lam)
-            return float(_sum(w * w / p)) - rhs
-
-        lo, hi = 0.0, 1.0
-        it = 0
-        while phi(hi) > 0.0:
-            lo, hi = hi, 2.0 * hi
-            it += 1
-            if it > _ELL_MAX_ITERS:
-                raise ProjectionError("ellipsoid projection: bracketing failed")
-        lam = 0.5 * (lo + hi)
-        for it in range(_ELL_MAX_ITERS):
-            val = phi(lam)
-            if abs(val) <= _ELL_ROOT_TOL:
-                break
-            if val > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            # Newton step on phi, safeguarded by the bracket; a product, as
-            # an array's ** 3 rounds by the CPU's instruction set
-            w = p + 2.0 * lam
-            dphi = float(_sum(dphi_num / (w * w * w)))
-            lam_newton = lam - val / dphi if dphi != 0.0 else lam
-            if lo < lam_newton < hi:
-                lam = lam_newton
-            else:
-                lam = 0.5 * (lo + hi)
-        else:
-            raise ProjectionError("ellipsoid projection: root finder did not converge")
-        return c + pd / (p + 2.0 * lam)
+        # KKT of min ||x - z||^2 s.t. g(x) <= 0:  x(lam) = c + w with
+        # w = p d / s, s = p + 2 lam, and r2(lam) = sum(w^2 / p) = g + rhs.
+        # 1/sqrt(r2) is concave and increasing in lam, so Newton on
+        # 1/sqrt(r2) - 1/sqrt(rhs) from lam = 0 climbs to the root without a
+        # safeguard; its step is grouped so that it does not overflow.
+        lam, s, w = 0.0, p, d
+        for _ in range(_ELL_MAX_ITERS):
+            ww_p = w * w / p
+            r2 = float(_sum(ww_p))
+            if r2 - rhs <= _ELL_ROOT_TOL:
+                return c + w
+            lam += (math.sqrt(r2 / rhs) - 1.0) * (r2 / (2.0 * float(_sum(ww_p / s))))
+            s = p + 2.0 * lam
+            w = pd / s
+        raise ProjectionError("ellipsoid projection: root finder did not converge")
 
     return ConvexFeasibleSet("ell", n, g, project)
 

@@ -16,7 +16,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "deskbench"
 from harness import Workload  # noqa: E402
 
 #: runs that an array ** 3 or ** 4 would move with AVX-512 switched off:
-#: they reach powell20's oracles and the ell projection's Newton step
+#: they reach powell20's oracles, which write each power as a product, and
+#: the ell projection's Newton step, which takes a square root but no power
 RUNS = (("powell20", "box", "scs"), ("quad_diag50", "ell", "spg"))
 
 

@@ -337,14 +337,16 @@ def test_composite_projection_matches_dykstra(n):
         assert np.max(np.abs(c.project(z) - dykstra_composite(z, n))) <= 1e-7
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_composite_projection_far_points(n):
+@pytest.mark.parametrize(
+    "name, n", [("com", 2), ("com", 4), ("ell", 2), ("ell", 4), ("ell", 10)]
+)
+def test_projection_of_far_points(name, n):
     # far from the set, P(z) must still be feasible and satisfy the
     # variational inequality, measured along the unit vector (z - p)/||z - p||
-    c = make_composite(n)
+    c = make_set(name, n, ell_seed=n)
     rng = np.random.default_rng(9)
     ys = sample_feasible(c, rng, 200)
-    for scale in (1e3, 1e6, 1e12, 1e100):
+    for scale in (1e3, 1e6, 1e12, 1e100, 1e150):
         for _ in range(20):
             z = scale * rng.standard_normal(n)
             p = c.project(z)
@@ -362,7 +364,7 @@ def test_composite_rejects_non_finite_point():
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 def test_ellipsoid_rejects_non_finite_point_at_once(bad):
-    # neither the bracketing nor the root finder can converge from here
+    # no Newton step from here is finite, so the projection raises before it
     e = make_ellipsoid(3, seed=2)
     with pytest.raises(ProjectionError, match=r"^ellipsoid projection: g\(z\) is not finite$"):
         e.project(np.array([0.0, bad, 1.0]))
@@ -371,9 +373,7 @@ def test_ellipsoid_rejects_non_finite_point_at_once(bad):
 @pytest.mark.parametrize(
     "offset, message",
     (
-        # phi(1) = (100 / 3)^2 - 25 > 0: the bracket must grow past lam = 1
-        (100.0, "bracketing failed"),
-        # phi(1) = (5.1 / 3)^2 - 25 <= 0: the bracket [0, 1] holds the root
+        # just outside the ball, with no pass allowed
         (5.1, "root finder did not converge"),
     ),
 )
@@ -423,6 +423,50 @@ def test_composite_projection_takes_few_passes(monkeypatch, n):
         assert c.max_violation(c.project(rng.uniform(-30.0, 30.0, n))) <= FEAS_TOL
 
 
+#: Newton passes allowed in the two tests below, the last pass being the one
+#: that finds r2 - rhs within tolerance.  Newton on the secular equation needs
+#: at most 5 on their points (and on every active point of the desk plan's
+#: ell runs); 7 leaves the margin of 2 that COM_PASSES leaves.  The doubled
+#: bracket with its bisection safeguard needed up to 12 on the desk points
+#: and up to 169 on the far ones.
+ELL_STEPS = 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+def test_ellipsoid_projection_takes_few_steps(monkeypatch, n):
+    monkeypatch.setattr(curveopt.sets, "_ELL_MAX_ITERS", ELL_STEPS)
+    e = make_ellipsoid(n, seed=n)
+    rng = np.random.default_rng(13)
+    points = [rng.uniform(-30.0, 30.0, n) for _ in range(100)]
+    points += [scale * rng.standard_normal(n) for scale in (1e3, 1e10, 1e20, 1e50)
+               for _ in range(10)]
+    for z in points:
+        assert e.max_violation(e.project(z)) <= FEAS_TOL
+
+
+@pytest.mark.parametrize(
+    "z",
+    (
+        # rosenbrock2/ell and wood4/ell, where the doubled bracket with its
+        # bisection safeguard needed 10 and 12 passes
+        [-4368.73, -6750.10],
+        [11348.71, 2002.64, 10183.97, 1804.09],
+        # wood4/ell and chnrosnb4/ell, where Newton needs 5
+        [-20.12, 44.89, -14.94, 37.92],
+        [0.18, 20.53, -78.47, -41.47],
+        # chnrosnb4/ell, near the set
+        [1.44, -4.09, 2.65, -0.50],
+    ),
+)
+def test_ellipsoid_projection_of_desk_points_takes_few_steps(monkeypatch, z):
+    # points that the desk plan's runs project, on the ell it builds for them
+    monkeypatch.setattr(curveopt.sets, "_ELL_MAX_ITERS", ELL_STEPS)
+    z = np.array(z)
+    e = make_set("ell", len(z), ell_seed=len(z))
+    assert e.max_violation(z) > 0.0
+    assert abs(e.max_violation(e.project(z))) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # ellipsoid and composite, against their formulas written out plainly
 
@@ -445,30 +489,17 @@ def plain_ellipsoid(p):
         if gz <= 0.0:
             return np.array(z)
         d = z - c
-        pd = p * d
-        dphi_num = -4.0 * p * d * d
-
-        def phi(lam):
-            w = pd / (p + 2.0 * lam)
-            return float((w * w / p).sum()) - rhs
-
-        lo, hi = 0.0, 1.0
-        while phi(hi) > 0.0:
-            lo, hi = hi, 2.0 * hi
-        lam = 0.5 * (lo + hi)
+        lam, x = 0.0, d
         for _ in range(200):
-            val = phi(lam)
-            if abs(val) <= 1e-10:
-                break
-            if val > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            w = p + 2.0 * lam
-            dphi = float((dphi_num / (w * w * w)).sum())
-            lam_newton = lam - val / dphi if dphi != 0.0 else lam
-            lam = lam_newton if lo < lam_newton < hi else 0.5 * (lo + hi)
-        return c + pd / (p + 2.0 * lam)
+            r2 = float((x * x / p).sum())
+            if r2 - rhs <= 1e-10:
+                return c + x
+            # Newton on 1/sqrt(r2(lam)) - 1/sqrt(rhs), where x = x(lam) - c
+            # and r2'(lam) = -4 dr2
+            dr2 = float((x * x / p / (p + 2.0 * lam)).sum())
+            lam = lam + (math.sqrt(r2 / rhs) - 1.0) * (r2 / (2.0 * dr2))
+            x = p * d / (p + 2.0 * lam)
+        raise AssertionError("the plain Newton iteration did not converge")
 
     return g, project
 
