@@ -15,20 +15,22 @@ increasing in lam as for a trust-region step (More & Sorensen 1983,
 "Computing a trust region step"), so every z with a finite g(z) projects;
 com nests two 1-D multiplier searches, one for the ball and one for the
 halfspace, with the box handled by clipping.
-The halfspace's bisects its breakpoints.  The ball's steps to the root of
-the piece of ||x(lam) - c||^2 that holds its last trial, which has a closed
-form because the halfspace's normal is uniform, and bisects its bracket
-where that root falls outside it.
+The halfspace's search bisects its breakpoints.  The ball's steps to the
+root of the piece of ||x(lam) - c||^2 that holds its last trial, which has
+a closed form because the halfspace's normal is uniform, and bisects its
+bracket where that root falls outside it.
 
-ell's seeded diagonal is drawn by an in-repo PCG64 (`_uniform`) that
-reproduces numpy's `default_rng(seed).uniform` stream bit for bit, so an
-`ell` instance does not depend on the installed numpy version and building
-one does not import numpy's random module (and hashlib with it).
+ell's seeded diagonal is drawn by the standard library's `random.Random`,
+whose `random()` sequence for an integer seed Python keeps the same on
+every version, so an `ell` instance does not depend on the Python or numpy
+version, and building one does not import numpy's random module (and
+hashlib with it).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,12 +82,13 @@ def make_sphere(n: int) -> ConvexFeasibleSet:
         return np.array([float(x.dot(x)) - 100.0])
 
     def project(x):
+        x = np.asarray(x, dtype=float)
         nrm = math.sqrt(np.dot(x, x))
         if nrm <= radius:
-            return np.array(x, dtype=float)
+            return np.array(x)
         if not math.isfinite(nrm):  # NaN too, which fails the test above
             raise ProjectionError("sphere projection: ||z|| is not finite")
-        return (radius / nrm) * np.asarray(x)
+        return (radius / nrm) * x
 
     return ConvexFeasibleSet("sph", n, g, project)
 
@@ -95,8 +98,8 @@ def make_sphere(n: int) -> ConvexFeasibleSet:
 
 
 def _clip(a: Vector, lo: float, hi: float) -> Vector:
-    """np.clip(a, lo, hi), same values at about half the call overhead."""
-    return np.minimum(np.maximum(a, lo), hi)
+    """np.clip(a, lo, hi) as float64, same values at about half the call overhead."""
+    return np.minimum(np.maximum(a, lo, dtype=float), hi)
 
 
 def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
@@ -121,76 +124,14 @@ def make_box(n: int, lo: float = -1.0, hi: float = 1.0) -> ConvexFeasibleSet:
 # ellipsoid
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uniform(seed: int, lo: float, hi: float, n: int) -> list[float]:
-    """numpy's `default_rng(seed).uniform(lo, hi, size=n)` for seed >= 0, bit for bit.
-
-    SeedSequence(seed) mixes the seed's 32-bit words into a 4-word pool and
-    expands it to 4 uint64 words; PCG64 seeds its 128-bit state and stream
-    from them; each draw steps the LCG, takes the XSL-RR output x and returns
-    lo + (hi - lo) * (x >> 11) * 2**-53.
-    """
-    words = []
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-
-    mult_a = 0x43B0D7E5  # SeedSequence's hashmix constant, advanced per call
-
-    def hashmix(value):
-        nonlocal mult_a
-        value ^= mult_a
-        mult_a = (mult_a * 0x931E8875) & _MASK32
-        value = (value * mult_a) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ (r >> 16)
-
-    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    mult_b = 0x8B51F9DD
-    state32 = []
-    for i in range(8):
-        value = pool[i % 4] ^ mult_b
-        mult_b = (mult_b * 0x58F38DED) & _MASK32
-        value = (value * mult_b) & _MASK32
-        state32.append(value ^ (value >> 16))
-    w = [state32[2 * i] | state32[2 * i + 1] << 32 for i in range(4)]
-
-    # pcg_setseq_128_srandom_r: state 0, step, add the initial state, step
-    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
-    state = ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _MASK128
-    out = []
-    for _ in range(n):
-        state = (state * _PCG64_MULT + inc) & _MASK128
-        x = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
-        out.append(lo + (hi - lo) * ((x >> 11) * (1.0 / 9007199254740992.0)))
-    return out
-
-
 def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> ConvexFeasibleSet:
     """{x : sum_i (x_i - c_i)^2 / p_i <= rhs}, with c = ones and rhs = 25.
 
     When p_diag is omitted, the diagonal entries are drawn uniformly from
     [0.5, 2.0] using the given seed, so the same (n, seed) pair always
-    yields the same set.  The draw is the in-repo PCG64 of `_uniform`, which
-    reproduces numpy's `default_rng(seed).uniform(0.5, 2.0, size=n)` stream.
+    yields the same set: entry i is 0.5 + 1.5 * u_i, where u_0, u_1, ... are
+    the first n draws of `random.Random(seed).random()`, a sequence Python
+    keeps the same on every version.
     A p_diag not of shape (n,) or with a non-finite or nonpositive entry, and
     a seed that is negative, a bool or not an integer, raise ValueError.
     """
@@ -199,7 +140,8 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
     c = np.ones(n)
     rhs = 25.0
     if p_diag is None:
-        p = np.array(_uniform(seed, 0.5, 2.0, n))
+        rng = random.Random(seed)
+        p = np.array([0.5 + (2.0 - 0.5) * rng.random() for _ in range(n)])
     else:
         p = np.asarray(p_diag, dtype=float)
     if p.shape != (n,):

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,6 @@ from curveopt.errors import ProjectionError
 from curveopt.sets import (
     FEAS_TOL,
     SET_NAMES,
-    _uniform,
     make_box,
     make_composite,
     make_ellipsoid,
@@ -221,15 +221,42 @@ def test_ellipsoid_takes_a_numpy_integer_seed():
     assert a.project(z).tobytes() == b.project(z).tobytes()
 
 
-def test_uniform_matches_numpy_bitwise():
-    # 2**128 + 5 has a fifth 32-bit word, past SeedSequence's pool of four
-    seeds = [*range(1101), 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128 + 5]
-    for seed in seeds:
-        for n in (0, 1, 2, 7, 1000):
-            ours = np.array(_uniform(seed, 0.5, 2.0, n), dtype=float)
-            theirs = np.random.default_rng(seed).uniform(0.5, 2.0, size=n)
-            assert ours.shape == theirs.shape
-            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), (seed, n)
+def plain_diagonal(n, seed):
+    """make_ellipsoid's seeded diagonal, drawn plainly: 0.5 + 1.5 * u for
+    each of the first n draws u of random.Random(seed)."""
+    rng = random.Random(seed)
+    return np.array([0.5 + 1.5 * rng.random() for _ in range(n)])
+
+
+#: repr of make_ellipsoid(n, seed=s).g(0).tolist(), that is sum(1/p_i) - 25
+ELL_G0 = {
+    (1, 0): "[-24.43395140582902]",
+    (1, 5): "[-24.302821328449422]",
+    (1, 2**32): "[-23.506328948850264]",
+    (1, 2**64 + 3): "[-24.465084076775145]",
+    (1, 2**128 + 5): "[-24.025482021944832]",
+    (7, 0): "[-19.524014782118527]",
+    (7, 5): "[-19.577433875688715]",
+    (7, 2**32): "[-17.662132000026087]",
+    (7, 2**64 + 3): "[-17.29155017882115]",
+    (7, 2**128 + 5): "[-17.74764679975728]",
+    (1000, 0): "[907.8094166576182]",
+    (1000, 5): "[913.8113182969892]",
+    (1000, 2**32): "[893.8201277571185]",
+    (1000, 2**64 + 3): "[905.2056308601203]",
+    (1000, 2**128 + 5): "[914.4994738738569]",
+}
+
+
+def test_ellipsoid_diagonal_draw_is_pinned():
+    for (n, seed), want in ELL_G0.items():
+        e = make_ellipsoid(n, seed=seed)
+        assert repr(e.g(0).tolist()) == want, (n, seed)
+        plain = make_ellipsoid(n, p_diag=plain_diagonal(n, seed))
+        # a far point whose projection depends on every entry and its order
+        z = 30.0 * np.arange(1.0, n + 1.0)
+        assert e.g(z).tobytes() == plain.g(z).tobytes(), (n, seed)
+        assert e.project(z).tobytes() == plain.project(z).tobytes(), (n, seed)
 
 
 def test_building_the_sets_loads_neither_numpy_random_nor_hashlib():
@@ -423,12 +450,21 @@ def test_composite_projection_takes_few_passes(monkeypatch, n):
         assert c.max_violation(c.project(rng.uniform(-30.0, 30.0, n))) <= FEAS_TOL
 
 
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_projection_returns_float64(name):
+    # points inside and outside each set, as lists and as int64 and float32
+    # arrays
+    fset = make_set(name, 3)
+    for point in ([1, 1, 1], [30, -20, 4]):
+        for z in (point, np.array(point), np.array(point, dtype=np.float32)):
+            assert fset.project(z).dtype == np.float64, (point, type(z))
+
+
 #: Newton passes allowed in the two tests below, the last pass being the one
 #: that finds r2 - rhs within tolerance.  Newton on the secular equation needs
-#: at most 5 on their points (and on every active point of the desk plan's
-#: ell runs); 7 leaves the margin of 2 that COM_PASSES leaves.  The doubled
-#: bracket with its bisection safeguard needed up to 12 on the desk points
-#: and up to 169 on the far ones.
+#: at most 5 on their points, and on every one of the 785 active points that
+#: the desk plan's ell runs project at seed 0 (and on seeds 1-3 too); 7
+#: leaves the margin of 2 that COM_PASSES leaves.
 ELL_STEPS = 7
 
 
@@ -447,15 +483,15 @@ def test_ellipsoid_projection_takes_few_steps(monkeypatch, n):
 @pytest.mark.parametrize(
     "z",
     (
-        # rosenbrock2/ell and wood4/ell, where the doubled bracket with its
-        # bisection safeguard needed 10 and 12 passes
-        [-4368.73, -6750.10],
-        [11348.71, 2002.64, 10183.97, 1804.09],
-        # wood4/ell and chnrosnb4/ell, where Newton needs 5
-        [-20.12, 44.89, -14.94, 37.92],
-        [0.18, 20.53, -78.47, -41.47],
-        # chnrosnb4/ell, near the set
-        [1.44, -4.09, 2.65, -0.50],
+        # far points of rosenbrock2/ell, wood4/ell and chnrosnb4/ell runs,
+        # where Newton needs 3, 4 and 4 passes
+        [2902.87, -11009.51],
+        [3343.36, 904.44, 3884.13, 959.9],
+        [1189.62, -571.39, -176.25, 35.44],
+        # chnrosnb4/ell, where Newton needs 5
+        [0.01, 9.79, -9.27, 5.59],
+        # rosenbrock2/ell, near the set
+        [-4.38, -3.41],
     ),
 )
 def test_ellipsoid_projection_of_desk_points_takes_few_steps(monkeypatch, z):
@@ -599,7 +635,7 @@ def probe_points(fset, centre, n, rng):
 
 @pytest.mark.parametrize("n", (1, 2, 10, 50))
 def test_ellipsoid_matches_the_plain_formulas(n):
-    p = np.array(_uniform(n, 0.5, 2.0, n))
+    p = plain_diagonal(n, n)
     e = make_ellipsoid(n, p_diag=p)
     g, project = plain_ellipsoid(p)
     for x in probe_points(e, np.ones(n), n, np.random.default_rng(n)):

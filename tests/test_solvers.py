@@ -1038,10 +1038,10 @@ GOLDEN = {
     ("beale2", "com", "scs", 10): ("stationary", 38, 1, 0),
     ("beale2", "com", "spg", 0): ("stationary", 171, 0, 0),
     ("beale2", "com", "spg", 10): ("stationary", 36, 0, 0),
-    ("beale2", "ell", "scs", 0): ("stationary", 79, 1, 0),
-    ("beale2", "ell", "scs", 10): ("stationary", 50, 1, 0),
-    ("beale2", "ell", "spg", 0): ("stationary", 129, 0, 0),
-    ("beale2", "ell", "spg", 10): ("stationary", 34, 0, 0),
+    ("beale2", "ell", "scs", 0): ("stationary", 59, 1, 0),
+    ("beale2", "ell", "scs", 10): ("stationary", 56, 1, 0),
+    ("beale2", "ell", "spg", 0): ("stationary", 46, 0, 0),
+    ("beale2", "ell", "spg", 10): ("stationary", 32, 0, 0),
     ("beale2", "sph", "scs", 0): ("stationary", 50, 1, 0),
     ("beale2", "sph", "scs", 10): ("stationary", 100, 1, 0),
     ("beale2", "sph", "spg", 0): ("stationary", 71, 0, 0),
@@ -1054,8 +1054,8 @@ GOLDEN = {
     ("chnrosnb4", "com", "scs", 10): ("iter_limit", 400, 1, 0),
     ("chnrosnb4", "com", "spg", 0): ("iter_limit", 400, 0, 0),
     ("chnrosnb4", "com", "spg", 10): ("iter_limit", 400, 0, 0),
-    ("chnrosnb4", "ell", "scs", 0): ("iter_limit", 400, 1, 1),
-    ("chnrosnb4", "ell", "scs", 10): ("iter_limit", 400, 1, 1),
+    ("chnrosnb4", "ell", "scs", 0): ("stationary", 338, 1, 0),
+    ("chnrosnb4", "ell", "scs", 10): ("stationary", 399, 1, 0),
     ("chnrosnb4", "ell", "spg", 0): ("iter_limit", 400, 0, 0),
     ("chnrosnb4", "ell", "spg", 10): ("iter_limit", 400, 0, 0),
     ("chnrosnb4", "sph", "scs", 0): ("iter_limit", 400, 1, 1),
@@ -1070,10 +1070,10 @@ GOLDEN = {
     ("rosenbrock2", "com", "scs", 10): ("stationary", 81, 1, 2),
     ("rosenbrock2", "com", "spg", 0): ("stationary", 105, 0, 0),
     ("rosenbrock2", "com", "spg", 10): ("stationary", 44, 0, 0),
-    ("rosenbrock2", "ell", "scs", 0): ("stationary", 138, 1, 1),
-    ("rosenbrock2", "ell", "scs", 10): ("iter_limit", 400, 1, 1),
+    ("rosenbrock2", "ell", "scs", 0): ("stationary", 140, 1, 0),
+    ("rosenbrock2", "ell", "scs", 10): ("iter_limit", 400, 1, 0),
     ("rosenbrock2", "ell", "spg", 0): ("iter_limit", 400, 0, 0),
-    ("rosenbrock2", "ell", "spg", 10): ("iter_limit", 400, 0, 0),
+    ("rosenbrock2", "ell", "spg", 10): ("stationary", 54, 0, 0),
     ("rosenbrock2", "sph", "scs", 0): ("iter_limit", 400, 1, 0),
     ("rosenbrock2", "sph", "scs", 10): ("iter_limit", 400, 1, 0),
     ("rosenbrock2", "sph", "spg", 0): ("stationary", 244, 0, 0),
@@ -1086,9 +1086,9 @@ GOLDEN = {
     ("wood4", "com", "scs", 10): ("stationary", 128, 1, 0),
     ("wood4", "com", "spg", 0): ("stationary", 23, 0, 0),
     ("wood4", "com", "spg", 10): ("stationary", 365, 0, 0),
-    ("wood4", "ell", "scs", 0): ("stationary", 102, 1, 0),
-    ("wood4", "ell", "scs", 10): ("stationary", 189, 1, 0),
-    ("wood4", "ell", "spg", 0): ("stationary", 27, 0, 0),
+    ("wood4", "ell", "scs", 0): ("stationary", 114, 1, 0),
+    ("wood4", "ell", "scs", 10): ("stationary", 72, 1, 0),
+    ("wood4", "ell", "spg", 0): ("iter_limit", 400, 0, 0),
     ("wood4", "ell", "spg", 10): ("iter_limit", 400, 0, 0),
     ("wood4", "sph", "scs", 0): ("iter_limit", 400, 1, 0),
     ("wood4", "sph", "scs", 10): ("iter_limit", 400, 1, 1),
