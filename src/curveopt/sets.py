@@ -242,6 +242,11 @@ def make_composite(n: int) -> ConvexFeasibleSet:
         j = len(nodes) - 1
         x_j = x_of(a, nodes[j])
         h_j = h(x_j)
+        if h_j > 0.0:
+            # a - nu w cancels to within an ulp of a, which for a far a
+            # (entries near 1e21) leaves a coordinate off lo; take lo itself
+            x_j = np.full_like(a, lo)
+            h_j = h(x_j)
         while j - i > 1:
             m = (i + j) // 2
             x_m = x_of(a, nodes[m])

@@ -342,6 +342,36 @@ def stationarity_measure(fset: ConvexFeasibleSet, x: Vector, grad: Vector) -> fl
     return float(_max(np.abs(step))) if step.size else 0.0
 
 
+def _rules_out_stop(x: Vector, grad: Vector, eta: float, d: Vector, stat_tol: float) -> bool:
+    """Whether the step's d = project(x - eta*grad) - x shows that
+    `stationarity_measure(fset, x, grad)` exceeds stat_tol.
+
+    For x in the set, ||project(x - t*grad) - x||_2 is nondecreasing in t
+    and its ratio to t nonincreasing (Calamai & More 1987, "Projected
+    gradient methods for linearly constrained problems"), so the bound
+    ||d||_2 * min(1, 1/eta) / sqrt(n) is at most the 2-norm of
+    project(x - grad) - x over sqrt(n), which is at most the measure, its
+    infinity norm.  Computed, both sides are off by rounding: forming
+    x - grad and x - eta*grad, projecting and subtracting x each err by a
+    few ulps (u = 2**-53) of ||x||, ||grad|| and the projected points, the
+    norm by n ulps of the bound, and ell and com project to within root
+    tolerances below 1e-10.  So the bound must clear stat_tol by
+    1e-9 * (stat_tol + ||x|| + ||grad||), over 10**4 times that rounding
+    for n up to 10**3.  A margin of 1e-9 * stat_tol alone is not enough:
+    at entries near 1e3 rounding is 1e-13, and at stat_tol = 0 a gradient
+    entry below half an ulp of x_i makes x - grad round to x, so the
+    measure is 0 while d is not.  An accepted iterate may also lie outside
+    the set by as much as g <= FEAS_TOL allows;
+    `test_the_step_rules_out_a_stop_only_where_the_measure_exceeds_stat_tol`
+    checks such points too.
+    """
+    bound = math.sqrt(d.dot(d)) * min(1.0, 1.0 / eta) / math.sqrt(d.size)
+    if not stat_tol < bound < math.inf:
+        return False
+    scale = stat_tol + math.sqrt(x.dot(x)) + math.sqrt(grad.dot(grad))
+    return bound > stat_tol + 1e-9 * scale
+
+
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -476,8 +506,16 @@ def solve(
     `p.start`) not of shape (p.dim,) or with a non-finite entry raises
     ValueError, before any oracle call.
 
-    Each iteration forms z = x - eta*grad, d = project(z) - x and grad'd
-    once; the step `SOLVERS[solver](p, fset, cfg)`, called as
+    Each iteration first forms z = x - eta*grad and d = project(z) - x, then
+    checks the stops.  ||d||_2 min(1, 1/eta) / sqrt(n) bounds the
+    stationarity measure from below, so where it clears `stat_tol` the run
+    cannot stop at x and the measure is not computed: an iteration projects
+    once where the bound decides, and twice otherwise.  A traced run always
+    computes the measure, so every entry holds it; `RunRecord.stationarity`
+    is the final iterate's measure, formed after the loop where the loop
+    skipped it, and NaN when f or the gradient at the projected start is
+    not finite.  The loop forms grad'd once; the step
+    `SOLVERS[solver](p, fset, cfg)`, called as
     `step(x, fx, eta, z, project(z), d, grad_dot_d, f_ref, rec)`, returns the
     accepted (x_next, f_next, t) or raises SearchFailureError, which ends
     the run.  A non-finite f or gradient at the projected start or at an
@@ -513,7 +551,12 @@ def solve(
     detail = _non_finite(fx, grad, 0)
     status = STATUS_NON_FINITE if detail else None
     while status is None:
-        stat = stationarity_measure(fset, x, grad)
+        z = x - eta * grad
+        pz = fset.project(z)
+        d = pz - x
+        stat = None  # unmeasured: the step's projection rules out a stop at x
+        if trace is not None or not _rules_out_stop(x, grad, eta, d, cfg.stat_tol):
+            stat = stationarity_measure(fset, x, grad)
         rec = None
         if trace is not None:
             rec = IterationRecord(
@@ -524,7 +567,7 @@ def solve(
                 max_g=fset.max_violation(x),
             )
             trace.append(rec)
-        if stat <= cfg.stat_tol:
+        if stat is not None and stat <= cfg.stat_tol:
             status = STATUS_STATIONARY
             break
         if k >= cfg.max_iters:
@@ -534,9 +577,6 @@ def solve(
             status = STATUS_TIME_LIMIT
             break
 
-        z = x - eta * grad
-        pz = fset.project(z)
-        d = pz - x
         grad_dot_d = float(grad.dot(d))
         f_ref = max(f_hist)
         if rec is not None:
@@ -568,6 +608,8 @@ def solve(
         grad = grad_next
         f_hist.append(fx)
         k += 1
+    if stat is None:
+        stat = stationarity_measure(fset, x, grad)
 
     return RunRecord(
         solver_name=solver,

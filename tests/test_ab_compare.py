@@ -53,7 +53,8 @@ def test_change_faster_counts_rounds_by_summed_elapsed():
             return [
                 types.SimpleNamespace(
                     problem_name=name, set_name="box", solver_name="scs", M=0,
-                    status="stationary", iterations=1, f_star=0.0, final_x=None, elapsed=t,
+                    status="stationary", iterations=1, f_star=0.0, stationarity=0.0,
+                    final_x=None, elapsed=t,
                 )
                 for name, t in zip(plan.problems, next(passes))
             ]
@@ -126,18 +127,26 @@ def test_a_run_that_ends_otherwise_fails_the_comparison(tmp_path):
         # the first run in key order ends at the minimiser of rosenbrock2, f = 0
         ("f_star", "f_star=math.nextafter(fx, math.inf),",
          "with f_star 5e-324, in the first pass 0.0"),
+        # and its measure there is 0 too
+        ("stationarity", "stationarity=math.nextafter(stat, math.inf),\n        iterations=k,",
+         "with stationarity 5e-324, in the first pass 0.0"),
     ),
 )
 def test_a_run_that_drifts_only_in_its_bits_fails_the_comparison(
     tmp_path, field, drifted, message
 ):
     # a copy of the library whose runs end in the same status and iteration
-    # count, with every entry of final_x times 1 + 2**-52, or f_star one ulp up
+    # count, with every entry of final_x times 1 + 2**-52, or f_star or the
+    # reported stationarity one ulp up
     src = tmp_path / "src" / "curveopt"
     shutil.copytree(ROOT / "src" / "curveopt", src, ignore=shutil.ignore_patterns("__pycache__"))
     solvers = src / "solvers.py"
     text = solvers.read_text()
-    exact = {"final_x": "final_x=np.array(x),", "f_star": "f_star=fx,"}[field]
+    exact = {
+        "final_x": "final_x=np.array(x),",
+        "f_star": "f_star=fx,",
+        "stationarity": "stationarity=stat,\n        iterations=k,",
+    }[field]
     assert text.count(exact) == 1
     solvers.write_text(text.replace(exact, drifted))
     res = ab_compare(tmp_path, ROOT)

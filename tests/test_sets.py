@@ -389,6 +389,20 @@ def test_composite_rejects_non_finite_point():
             c.project(np.array([0.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize("scale", (math.nextafter(1e18, 2e18), math.nextafter(1e21, 2e21), 1e25))
+def test_composite_projects_a_point_too_far_for_its_breakpoints(scale):
+    # such points are x - eta * g at the wide window's eta_max 1e30 with
+    # |g_i| near 1e-9.  Every breakpoint of the halfspace's search rounds to
+    # one value, at which a - nu w cancels to within an ulp of a; one ulp
+    # above 1e18 and 1e21 it clipped some entries to hi instead of lo, and
+    # the search divided by zero
+    c = make_composite(10)
+    v = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+    p = c.project(scale * v)
+    assert c.max_violation(p) <= FEAS_TOL
+    np.testing.assert_allclose(p, c.project(1e16 * v), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 def test_ellipsoid_rejects_non_finite_point_at_once(bad):
     # no Newton step from here is finite, so the projection raises before it

@@ -22,6 +22,7 @@ from curveopt.solvers import (
     SOLVERS,
     T_TILDE,
     IterationRecord,
+    RunRecord,
     SolverConfig,
     Trace,
     adaptive_momentum,
@@ -396,6 +397,88 @@ def test_stationarity_measure_examples():
     on_face, origin = np.array([1.0, 0.0]), np.array([0.0, 0.0])
     assert stationarity_measure(b, on_face, p.grad(on_face)) == 0.0
     assert stationarity_measure(b, origin, p.grad(origin)) == pytest.approx(1.0)
+
+
+STAT_TOLS = (1e-3, 1e-6, 0.0)
+#: the wide window's ends and steps between them
+BOUND_ETAS = (1e-30, 1e-12, 1e-3, 0.3, 1.0, 2.0, 7.5, 1e3, 1e12, 1e30)
+
+
+def pushed_out(fset, x, u):
+    """x moved along u to about where g reaches FEAS_TOL, as far outside the
+    set as an accepted iterate may lie."""
+    inside, outside = 0.0, 1.0
+    for _ in range(40):
+        t = 0.5 * (inside + outside)
+        if fset.max_violation(x + t * u) <= FEAS_TOL:
+            inside = t
+        else:
+            outside = t
+    return x + inside * u
+
+
+def bound_cases(fset, rng):
+    """Points x of the set, and outside it by FEAS_TOL, with gradients g of
+    every size, from below half an ulp of x up to 1e3, and scaled so that
+    the measure lies near each positive stat_tol, in random, sign-only and
+    one-entry directions."""
+    n = fset.dim
+    inner = fset.project(0.3 * rng.standard_normal(n))
+    outer = fset.project(1e3 * rng.standard_normal(n))
+    for x in (inner, outer, pushed_out(fset, outer, outer - inner)):
+        for v in (rng.standard_normal(n), rng.choice((-1.0, 1.0), n), np.eye(n)[rng.integers(n)]):
+            v = v / np.abs(v).max()
+            for size in (0.3 * math.ulp(np.abs(x).max()), 1e-9, 1e-4, 1e-1, 1e3):
+                yield x, size * v
+            for tol in STAT_TOLS[:2]:
+                for factor in (0.5, 0.9, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.1, 2.0):
+                    g = factor * tol * v
+                    # off the interior the measure is not linear in g; two
+                    # rescalings bring it near factor * tol
+                    for _ in range(2):
+                        mu = stationarity_measure(fset, x, g)
+                        if mu > 0.0:
+                            g = g * (factor * tol / mu)
+                    yield x, g
+
+
+@pytest.mark.parametrize("n", (1, 2, 10, 100))
+@pytest.mark.parametrize("set_name", ("sph", "ell", "com", "box", "box1e3"))
+def test_the_step_rules_out_a_stop_only_where_the_measure_exceeds_stat_tol(set_name, n):
+    # box1e3 holds points with entries near 1e3, whose rounding a margin of
+    # 1e-9 * stat_tol does not cover; at n = 1 the sqrt(n) in the bound is
+    # tight
+    if set_name == "box1e3":
+        fset = make_box(n, lo=-1e3, hi=1e3)
+    else:
+        fset = make_set(set_name, n, ell_seed=n)
+    rng = np.random.default_rng(n)
+    skipped = 0
+    for x, g in bound_cases(fset, rng):
+        mu = stationarity_measure(fset, x, g)
+        for eta in BOUND_ETAS:
+            d = fset.project(x - eta * g) - x
+            for tol in STAT_TOLS:
+                if solvers._rules_out_stop(x, g, eta, d, tol):
+                    skipped += 1
+                    assert mu > tol, (x, g, eta, tol)
+    assert skipped > 0
+
+
+def test_the_margin_covers_rounding_at_entries_near_1e3():
+    # x - c rounds down to a multiple of h = ulp(999.5), and x - 2c up, so
+    # the measure is k*h <= 1e-6 while ||d||_2 / (2 sqrt(2)) is (k + 1/2)*h,
+    # which clears 1e-6 by 5e-14: a margin of 1e-9 * stat_tol would skip
+    x = np.full(2, 999.5)
+    h = math.ulp(999.5)
+    k = math.floor(1e-6 / h)
+    g = np.full(2, (k + 0.375) * h)
+    fset = make_box(2, lo=-1e3, hi=1e3)
+    d = fset.project(x - 2.0 * g) - x
+    mu = stationarity_measure(fset, x, g)
+    assert mu == k * h <= 1e-6
+    assert math.sqrt(d.dot(d)) / (2.0 * math.sqrt(2.0)) > 1e-6 * (1.0 + 1e-9)
+    assert not solvers._rules_out_stop(x, g, 2.0, d, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -1128,17 +1211,51 @@ def test_golden_trajectories(golden_runs):
     assert got == GOLDEN
 
 
-def test_traced_and_untraced_runs_agree(golden_runs):
+RUN_FIELDS = tuple(
+    f.name for f in dataclasses.fields(RunRecord) if f.name not in ("elapsed", "trace")
+)
+
+
+def assert_records_agree(traced, plain):
+    """Every RunRecord field but elapsed and trace alike, bit for bit."""
+    for name in RUN_FIELDS:
+        got, want = getattr(traced, name), getattr(plain, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        else:
+            assert repr(got) == repr(want), name
+
+
+def test_traced_and_untraced_runs_agree(golden_runs, monkeypatch):
     for plain, scalars, vectors in golden_runs.values():
         for traced in (scalars, vectors):
-            assert traced.status == plain.status
-            assert traced.iterations == plain.iterations
-            assert repr(traced.f_star) == repr(plain.f_star)
-            assert traced.final_x.tobytes() == plain.final_x.tobytes()
+            assert_records_agree(traced, plain)
         assert len(scalars.trace) == len(vectors.trace)
         for a, b in zip(scalars.trace, vectors.trace):
             for name in SCALAR_FIELDS:
                 assert repr(getattr(a, name)) == repr(getattr(b, name))
+
+    # Runs that end on a failed search and on a non-finite gradient after a
+    # step, where an untraced run has skipped the last iterate's measure and
+    # forms it after the loop
+    skipped = []
+    rules_out_stop = solvers._rules_out_stop
+
+    def recording(*args):
+        skipped.append(rules_out_stop(*args))
+        return skipped[-1]
+
+    monkeypatch.setattr(solvers, "_rules_out_stop", recording)
+    for problem, fset, backtracks, status in (
+        (get_problem("chnrosnb4"), make_set("box", 4), 0, STATUS_SEARCH_FAILURE),
+        (nan_gradient2(0.25), make_set("box", 2), solvers.MAX_BACKTRACKS, STATUS_NON_FINITE),
+    ):
+        monkeypatch.setattr(solvers, "MAX_BACKTRACKS", backtracks)
+        skipped.clear()
+        plain = solve("scs", problem, fset)
+        assert plain.status == status and skipped[-1]
+        for mode in (True, "vectors"):
+            assert_records_agree(solve("scs", problem, fset, record_trace=mode), plain)
 
 
 @pytest.mark.parametrize("solver", ("scs", "spg"))

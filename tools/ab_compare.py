@@ -23,8 +23,9 @@ sum than the parent's (a tie counts for neither side), and
 Only the runs' own `elapsed` enters these figures, not the wall time
 of a whole pass.  It exits 1, at the first pass that differs, unless every
 run of every pass ends as in the first pass: in the same status and iteration
-count, with the same `repr(f_star)` and the same `final_x` bytes.  So any
-drift of a trajectory fails the comparison, not only a changed count.
+count, with the same `repr(f_star)`, the same `repr(stationarity)` and the
+same `final_x` bytes.  So any drift of a trajectory, or of the measure a
+run reports at its end, fails the comparison, not only a changed count.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ def run_pass(bench, plan, record_trace: bool, tau_grid):
 
 
 def outcome(r) -> tuple:
-    """How a run ended: status, iterations, repr(f_star), final_x bytes."""
+    """How a run ended: status, iterations, repr(f_star), repr(stationarity),
+    final_x bytes."""
     final_x = None if r.final_x is None else r.final_x.tobytes()
-    return r.status, r.iterations, repr(r.f_star), final_x
+    return r.status, r.iterations, repr(r.f_star), repr(r.stationarity), final_x
 
 
 def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
@@ -160,6 +162,8 @@ def main(argv=None) -> int:
             what = f"ended {ended}, in the first pass {first}"
         elif got[2] != expected[2]:
             what = f"ended {ended} with f_star {got[2]}, in the first pass {expected[2]}"
+        elif got[3] != expected[3]:
+            what = f"ended {ended} with stationarity {got[3]}, in the first pass {expected[3]}"
         else:
             what = f"ended {ended} with final_x bytes unlike the first pass's"
         print(f"round {i}, {side}: run {key} {what}", file=sys.stderr)

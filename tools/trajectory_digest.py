@@ -29,7 +29,9 @@ functions a run calls, and libm rounds them as its version does.  So a
 `#` line before the digest names numpy's version, the SIMD features it
 dispatches to (from `np.show_config` on numpy 1.25 and later, else
 "unknown"), the OpenBLAS core numpy's BLAS runs on (`OPENBLAS_CORETYPE`
-overrides it; "unknown" where the library names none) and the C library
+overrides it, and the line names the core as OpenBLAS reports it, which
+need not be the name set: numpy 2.4.6's OpenBLAS reports `Prescott` as
+`Katmai`; "unknown" where the library names none) and the C library
 (from `platform.libc_ver`, else "unknown"); compare digests only where the
 numpy version, the BLAS core and the C library read alike.
 The digest stays the last line.  It exits 1 if a listed column or
