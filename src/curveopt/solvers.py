@@ -36,12 +36,9 @@ import numpy as np
 from .curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from .errors import SearchFailureError, as_integer
 from .problems import SmoothProblem
-from .sets import FEAS_TOL, ConvexFeasibleSet
+from .sets import FEAS_TOL, ConvexFeasibleSet, _max
 
 Vector = np.ndarray
-
-#: `a.max()` for 1-D a, without the Python frame of numpy's method wrapper
-_max = np.maximum.reduce
 
 #: threshold on ||z - project(z)|| deciding whether a projection was
 #: actually needed to form the primary direction
@@ -342,9 +339,9 @@ def stationarity_measure(fset: ConvexFeasibleSet, x: Vector, grad: Vector) -> fl
     return float(_max(np.abs(step))) if step.size else 0.0
 
 
-def _rules_out_stop(x: Vector, grad: Vector, eta: float, d: Vector, stat_tol: float) -> bool:
+def _rules_out_stop(x: Vector, gg: float, eta: float, d: Vector, stat_tol: float) -> bool:
     """Whether the step's d = project(x - eta*grad) - x shows that
-    `stationarity_measure(fset, x, grad)` exceeds stat_tol.
+    `stationarity_measure(fset, x, grad)` exceeds stat_tol; gg is grad'grad.
 
     For x in the set, ||project(x - t*grad) - x||_2 is nondecreasing in t
     and its ratio to t nonincreasing (Calamai & More 1987, "Projected
@@ -368,8 +365,14 @@ def _rules_out_stop(x: Vector, grad: Vector, eta: float, d: Vector, stat_tol: fl
     bound = math.sqrt(d.dot(d)) * min(1.0, 1.0 / eta) / math.sqrt(d.size)
     if not stat_tol < bound < math.inf:
         return False
-    scale = stat_tol + math.sqrt(x.dot(x)) + math.sqrt(grad.dot(grad))
+    scale = stat_tol + math.sqrt(x.dot(x)) + math.sqrt(gg)
     return bound > stat_tol + 1e-9 * scale
+
+
+def _projection_active(z: Vector, pz: Vector) -> bool:
+    """Whether ||z - pz||_2 > _PROJ_ACTIVE_TOL: the projection moved z."""
+    moved = z - pz
+    return math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +397,6 @@ class _CurveStep:
         # the first step has no momentum and always runs along the straight line
         fallback = self.x_prev is None
         x_prev = x if fallback else self.x_prev
-        moved = z - pz
-        reduce = cfg.adaptive_momentum and math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
         candidate = QuadraticCurve(x, d, build_secondary_direction(d, x, x_prev, self.beta, eta))
         curve = candidate
         beta_k = self.beta
@@ -407,10 +408,22 @@ class _CurveStep:
         # (the certificate, where it runs, raises ContractError if it is not),
         # and the search's check of the accepted point keeps iterates feasible.
         end_feasible = not fallback and self.fset.max_violation(curve.p2) <= FEAS_TOL
-        if not (fallback or end_feasible):
+        # `adaptive`: the adaptive momentum is on, the projection that formed
+        # d was active and the curve's endpoint is feasible.  The projection
+        # test, ||z - P(z)|| > _PROJ_ACTIVE_TOL, is made only where it is
+        # read: by the reduction, by a trace entry, and by the weight update
+        # when beta < beta0.  At beta = beta0 both of the update's branches
+        # give beta0, so there `adaptive` may stay False untested.
+        adaptive = False
+        if end_feasible:
+            if cfg.adaptive_momentum and (
+                rec is not None or (cfg.dynamic_beta and self.beta < cfg.beta0)
+            ):
+                adaptive = _projection_active(z, pz)
+        elif not fallback:
             decision = feasibility_certificate(curve, self.fset, T_TILDE, self.eps)
             fallback = decision is CurveDecision.FALL_BACK
-            if not fallback and reduce:
+            if not fallback and cfg.adaptive_momentum and _projection_active(z, pz):
                 try:
                     curve, beta_k = adaptive_momentum(curve, x_prev, self.fset, self.beta, eta)
                 except SearchFailureError:
@@ -418,12 +431,11 @@ class _CurveStep:
                     # feasible; x + d is, so the straight line always remains
                     fallback = True
                 else:
-                    end_feasible = True
+                    end_feasible = adaptive = True
                     self.adaptive_reductions += beta_k < self.beta
         if fallback:
             curve = QuadraticCurve(x, d, d)
             self.fallbacks += 1
-        adaptive = reduce and end_feasible
         if rec is not None:
             rec.fallback = fallback
             rec.adaptive = adaptive
@@ -478,13 +490,14 @@ class _LineStep:
 SOLVERS = {"scs": _CurveStep, "spg": _LineStep}
 
 
-def _non_finite(f: float, grad: Vector, k: int) -> str:
-    """What of f and grad at iterate k is not finite, or "" when both are."""
+def _non_finite(f: float, grad: Vector, gg: float, k: int) -> str:
+    """What of f and grad at iterate k is not finite, or "" when both are;
+    gg is grad'grad."""
     if not math.isfinite(f):
         return f"f = {f!r} at iterate {k}"
     # grad'grad is inf or NaN whenever an entry is; only a finite gradient
     # whose squares overflow needs the entrywise check
-    if not math.isfinite(grad.dot(grad)) and not np.isfinite(grad).all():
+    if not math.isfinite(gg) and not np.isfinite(grad).all():
         return f"non-finite gradient at iterate {k}"
     return ""
 
@@ -514,8 +527,9 @@ def solve(
     computes the measure, so every entry holds it; `RunRecord.stationarity`
     is the final iterate's measure, formed after the loop where the loop
     skipped it, and NaN when f or the gradient at the projected start is
-    not finite.  The loop forms grad'd once; the step
-    `SOLVERS[solver](p, fset, cfg)`, called as
+    not finite.  The loop forms grad'd once per iteration, and grad'grad
+    once per accepted gradient for the non-finite check and the bound's
+    margin; the step `SOLVERS[solver](p, fset, cfg)`, called as
     `step(x, fx, eta, z, project(z), d, grad_dot_d, f_ref, rec)`, returns the
     accepted (x_next, f_next, t) or raises SearchFailureError, which ends
     the run.  A non-finite f or gradient at the projected start or at an
@@ -543,19 +557,20 @@ def solve(
     x = fset.project(x)
     grad = p.grad(x)
     fx = p.f(x)
+    gg = grad.dot(grad)
     eta = ETA0
     f_hist: deque[float] = deque([fx], maxlen=cfg.M + 1)
     trace: list[IterationRecord] | None = [] if record_trace else None
     k = 0
     stat = math.nan
-    detail = _non_finite(fx, grad, 0)
+    detail = _non_finite(fx, grad, gg, 0)
     status = STATUS_NON_FINITE if detail else None
     while status is None:
         z = x - eta * grad
         pz = fset.project(z)
         d = pz - x
         stat = None  # unmeasured: the step's projection rules out a stop at x
-        if trace is not None or not _rules_out_stop(x, grad, eta, d, cfg.stat_tol):
+        if trace is not None or not _rules_out_stop(x, gg, eta, d, cfg.stat_tol):
             stat = stationarity_measure(fset, x, grad)
         rec = None
         if trace is not None:
@@ -598,7 +613,8 @@ def solve(
             rec.t = t
 
         grad_next = p.grad(x_next)
-        detail = _non_finite(f_next, grad_next, k + 1)
+        gg = grad_next.dot(grad_next)
+        detail = _non_finite(f_next, grad_next, gg, k + 1)
         if detail:
             status = STATUS_NON_FINITE
             break

@@ -54,7 +54,8 @@ def test_change_faster_counts_rounds_by_summed_elapsed():
                 types.SimpleNamespace(
                     problem_name=name, set_name="box", solver_name="scs", M=0,
                     status="stationary", iterations=1, f_star=0.0, stationarity=0.0,
-                    final_x=None, elapsed=t,
+                    fallbacks=0, adaptive_reductions=0, max_g_final=0.0, final_x=None,
+                    elapsed=t,
                 )
                 for name, t in zip(plan.problems, next(passes))
             ]
@@ -130,14 +131,23 @@ def test_a_run_that_ends_otherwise_fails_the_comparison(tmp_path):
         # and its measure there is 0 too
         ("stationarity", "stationarity=math.nextafter(stat, math.inf),\n        iterations=k,",
          "with stationarity 5e-324, in the first pass 0.0"),
+        # its one step falls back, as every first step does, and reduces nothing
+        ("fallbacks", "fallbacks=step.fallbacks + 1,", "with fallbacks 2, in the first pass 1"),
+        ("adaptive_reductions", "adaptive_reductions=step.adaptive_reductions + 1,",
+         "with adaptive_reductions 1, in the first pass 0"),
+        # it ends at (1, 1), on the box's bound, where the largest constraint
+        # value is 0
+        ("max_g_final", "max_g_final=math.nextafter(fset.max_violation(x), math.inf),",
+         "with max_g_final 5e-324, in the first pass 0.0"),
     ),
 )
 def test_a_run_that_drifts_only_in_its_bits_fails_the_comparison(
     tmp_path, field, drifted, message
 ):
     # a copy of the library whose runs end in the same status and iteration
-    # count, with every entry of final_x times 1 + 2**-52, or f_star or the
-    # reported stationarity one ulp up
+    # count, with every entry of final_x times 1 + 2**-52, f_star, the
+    # reported stationarity or max_g_final one ulp up, or one more fallback
+    # or reduction counted
     src = tmp_path / "src" / "curveopt"
     shutil.copytree(ROOT / "src" / "curveopt", src, ignore=shutil.ignore_patterns("__pycache__"))
     solvers = src / "solvers.py"
@@ -146,6 +156,9 @@ def test_a_run_that_drifts_only_in_its_bits_fails_the_comparison(
         "final_x": "final_x=np.array(x),",
         "f_star": "f_star=fx,",
         "stationarity": "stationarity=stat,\n        iterations=k,",
+        "fallbacks": "fallbacks=step.fallbacks,",
+        "adaptive_reductions": "adaptive_reductions=step.adaptive_reductions,",
+        "max_g_final": "max_g_final=fset.max_violation(x),",
     }[field]
     assert text.count(exact) == 1
     solvers.write_text(text.replace(exact, drifted))

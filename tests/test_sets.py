@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from curveopt.sets import (
     make_set,
     make_sphere,
 )
+from curveopt.solvers import stationarity_measure
 
 
 def sample_feasible(fset, rng, count, scale=15.0):
@@ -106,6 +108,18 @@ def test_projection_of_a_point_whose_norm_is_not_finite_raises(name, bad):
         fset.project([bad, 0.0])
     if name == "sph":
         assert raised.match(SPHERE_NOT_FINITE)
+
+
+@pytest.mark.parametrize("name", ("sph", "ell", "com"))
+def test_a_square_that_overflows_raises_projection_error_with_warnings_as_errors(name):
+    # under `python -W error::RuntimeWarning` numpy raises the overflow of
+    # 1e300**2 as a RuntimeWarning, which the projection turns into its own
+    # ProjectionError, as without the filter
+    fset = make_set(name, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ProjectionError):
+            fset.project([1e300, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +680,119 @@ def test_composite_matches_the_plain_formulas(n):
     for x in probe_points(com, np.full(n, 4.0), n, np.random.default_rng(n)):
         assert com.project(x).tobytes() == project(x).tobytes()
         assert com.project(x.tolist()).tobytes() == project(x.tolist()).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# constraint vectors and their maxima, against np.concatenate and
+# np.maximum.reduce
+
+
+def plain_g(name, n):
+    """The constraint vector of `vector_set(name, n)`, part by part, joined by
+    np.concatenate."""
+    if name == "sph":
+        return lambda x: np.array([float(x.dot(x)) - 100.0])
+    if name == "ell":
+        return plain_ellipsoid(plain_diagonal(n, n))[0]
+    if name == "box":
+        return lambda x: np.concatenate([x - 1.0, -1.0 - x])
+    c = np.full(n, 4.0)
+    w = np.full(n, 1.0 / n)
+
+    def g(x):
+        d = x - c
+        head = np.array([float(d.dot(d)) - 100.0, float(w.dot(x)) - 5.0])
+        return np.concatenate([head, x - 10.0, -5.0 - x])
+
+    return g
+
+
+def vector_set(name, n):
+    if name == "ell":
+        return make_ellipsoid(n, p_diag=plain_diagonal(n, n))
+    return make_set(name, n)
+
+
+def vector_points(fset, n, rng):
+    """Random points at three scales, points on the boundary (projections of
+    far points, and for the box points with entries at its bounds), and
+    random points with one entry +inf, -inf or NaN, or all entries NaN."""
+    random_points = [scale * rng.standard_normal(n) for scale in (0.3, 3.0, 30.0)]
+    boundary = [fset.project(30.0 * rng.standard_normal(n)) for _ in range(3)]
+    if fset.name == "box":
+        boundary += [np.ones(n), -np.ones(n), rng.choice((-1.0, 1.0), n)]
+    special = [np.full(n, np.nan)]
+    for bad in (np.inf, -np.inf, np.nan):
+        x = 3.0 * rng.standard_normal(n)
+        x[rng.integers(n)] = bad
+        special.append(x)
+    return random_points, boundary, special
+
+
+VECTOR_DIMS = (1, 2, 4, 1000)
+
+
+@pytest.mark.parametrize("n", VECTOR_DIMS)
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_constraint_vector_and_its_maximum_match_the_plain_forms(name, n):
+    fset = vector_set(name, n)
+    g = plain_g(name, n)
+    random_points, boundary, special = vector_points(fset, n, np.random.default_rng(n))
+    with np.errstate(all="ignore"):  # inf - inf and inf * 0 in the dots
+        for x in random_points + boundary + special:
+            a, b = fset.g(x), fset.g(x)
+            assert a.tobytes() == g(x).tobytes()
+            assert fset.g(x.tolist()).tobytes() == a.tobytes()
+            # a fresh float64 array on every call, sharing memory with nothing
+            assert a.dtype == np.float64 and a.flags.owndata and a.flags.writeable
+            assert a is not b and not np.shares_memory(a, b)
+            assert not np.shares_memory(a, x)
+            top = fset.max_violation(x)
+            reduced = float(np.maximum.reduce(g(x)))
+            assert type(top) is float
+            if math.isnan(reduced):
+                assert math.isnan(top) and not top <= FEAS_TOL
+            else:
+                assert top == reduced
+    # a NaN entry anywhere makes the maximum NaN, so no point with one is
+    # feasible
+    assert all(math.isnan(fset.max_violation(x)) for x in special if np.isnan(x).any())
+
+
+@pytest.mark.parametrize("n", VECTOR_DIMS)
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_stationarity_measure_is_the_largest_entry_of_the_projected_step(name, n):
+    fset = vector_set(name, n)
+    rng = np.random.default_rng(n + 1)
+    random_points, boundary, _ = vector_points(fset, n, rng)
+    for x in [fset.project(z) for z in random_points] + boundary:
+        grads = [size * rng.standard_normal(n) for size in (1e-9, 1e-3, 1.0, 1e3)]
+        if name == "box":  # the box projects inf and NaN entries too
+            for bad in (np.inf, -np.inf, np.nan):
+                grad = rng.standard_normal(n)
+                grad[rng.integers(n)] = bad
+                grads.append(grad)
+        for grad in grads:
+            expected = float(np.max(np.abs(fset.project(x - grad) - x)))
+            assert repr(stationarity_measure(fset, x, grad)) == repr(expected)
+
+
+@pytest.mark.parametrize("n", VECTOR_DIMS)
+@pytest.mark.parametrize("name", ("com", "box"))
+def test_a_point_of_the_wrong_length_is_rejected(name, n):
+    # both write g into one array of 2n (+ 2) entries, which a point of
+    # another length cannot fill; on the box a 1-vector broadcasts as a
+    # scalar would
+    fset = make_set(name, n)
+    lengths = {0, n - 1, n + 1, 2 * n + 2} - {n}
+    if name == "box":
+        lengths.discard(1)
+    for m in sorted(lengths):
+        x = np.zeros(m)
+        with pytest.raises(ValueError):
+            fset.g(x)
+        with pytest.raises(ValueError):
+            fset.max_violation(x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,14 @@ sum than the parent's (a tie counts for neither side), and
 Only the runs' own `elapsed` enters these figures, not the wall time
 of a whole pass.  It exits 1, at the first pass that differs, unless every
 run of every pass ends as in the first pass: in the same status and iteration
-count, with the same `repr(f_star)`, the same `repr(stationarity)` and the
-same `final_x` bytes.  So any drift of a trajectory, or of the measure a
-run reports at its end, fails the comparison, not only a changed count.
+count, with the same `repr(f_star)`, `repr(stationarity)`, `fallbacks`,
+`adaptive_reductions` and `repr(max_g_final)`, and the same `final_x`
+bytes.  So any drift of a trajectory, of the measure or the constraint
+maximum a run reports at its end, or of its step counts fails the
+comparison, not only a changed status or iteration count.  The runs are
+untraced, as in `deskbench` (but for `exact_recorded`), so this sees drift
+in the untraced path, which `tools/trajectory_digest.py`'s vector traces
+do not take.
 """
 
 from __future__ import annotations
@@ -72,11 +77,18 @@ def run_pass(bench, plan, record_trace: bool, tau_grid):
     return {(r.problem_name, r.set_name, r.solver_name, r.M): r for r in records}
 
 
+#: what `outcome` holds between (status, iterations) and the final_x bytes
+DRIFT_FIELDS = ("f_star", "stationarity", "fallbacks", "adaptive_reductions", "max_g_final")
+
+
 def outcome(r) -> tuple:
     """How a run ended: status, iterations, repr(f_star), repr(stationarity),
-    final_x bytes."""
+    fallbacks, adaptive_reductions, repr(max_g_final), final_x bytes."""
     final_x = None if r.final_x is None else r.final_x.tobytes()
-    return r.status, r.iterations, repr(r.f_star), repr(r.stationarity), final_x
+    return (
+        r.status, r.iterations, repr(r.f_star), repr(r.stationarity), r.fallbacks,
+        r.adaptive_reductions, repr(r.max_g_final), final_x,
+    )
 
 
 def compare(packages: dict, harness, workload, seed: int, rounds: int) -> dict:
@@ -160,12 +172,13 @@ def main(argv=None) -> int:
         ended, first = (o and o[:2] for o in (got, expected))  # status, iterations
         if ended != first:
             what = f"ended {ended}, in the first pass {first}"
-        elif got[2] != expected[2]:
-            what = f"ended {ended} with f_star {got[2]}, in the first pass {expected[2]}"
-        elif got[3] != expected[3]:
-            what = f"ended {ended} with stationarity {got[3]}, in the first pass {expected[3]}"
         else:
-            what = f"ended {ended} with final_x bytes unlike the first pass's"
+            drift = next(
+                (f"with {name} {a}, in the first pass {b}"
+                 for name, a, b in zip(DRIFT_FIELDS, got[2:], expected[2:]) if a != b),
+                "with final_x bytes unlike the first pass's",
+            )
+            what = f"ended {ended} {drift}"
         print(f"round {i}, {side}: run {key} {what}", file=sys.stderr)
         return 1
     print(f"# workload {args.workload}, {result['runs']} runs, {args.rounds} rounds, "
