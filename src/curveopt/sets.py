@@ -70,7 +70,12 @@ class ConvexFeasibleSet:
     project: Callable[[Vector], Vector] = field(repr=False)
 
     def g(self, x: Vector) -> Vector:
-        return np.asarray(self.eval_g(np.asarray(x, dtype=float)), dtype=float)
+        """The constraint values at x; raises ValueError for an x not of
+        shape (dim,)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"point for {self.name} has shape {x.shape}")
+        return np.asarray(self.eval_g(x), dtype=float)
 
     def max_violation(self, x: Vector) -> float:
         """The largest constraint value at x; NaN, which fails every
@@ -87,7 +92,11 @@ def make_sphere(n: int) -> ConvexFeasibleSet:
     radius = 10.0
 
     def g(x):
-        return np.array([float(x.dot(x)) - 100.0])
+        try:
+            xx = float(x.dot(x))
+        except RuntimeWarning:  # x'x overflows, with warnings turned into errors
+            xx = math.inf
+        return np.array([xx - 100.0])
 
     def project(x):
         x = np.asarray(x, dtype=float)
@@ -166,8 +175,11 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
         raise ValueError("p_diag entries must be positive")
 
     def q(d):
-        """The constraint value at c + d."""
-        return float(_sum(d * d / p)) - rhs
+        """The constraint value at c + d; inf where d * d overflows."""
+        try:
+            return float(_sum(d * d / p)) - rhs
+        except RuntimeWarning:  # d * d overflows, with warnings turned into errors
+            return math.inf
 
     def g(x):
         return np.array([q(x - c)])
@@ -175,10 +187,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
     def project(z):
         z = np.asarray(z, dtype=float)
         d = z - c
-        try:
-            gz = q(d)
-        except RuntimeWarning:  # d * d overflows, with warnings turned into errors
-            gz = math.inf
+        gz = q(d)
         if gz <= 0.0:
             return np.array(z)
         if not math.isfinite(gz):
@@ -218,7 +227,10 @@ def make_composite(n: int) -> ConvexFeasibleSet:
     def g(x):
         out = np.empty(2 * n + 2)
         d = x - c
-        out[0] = float(d.dot(d)) - 100.0
+        try:
+            out[0] = float(d.dot(d)) - 100.0
+        except RuntimeWarning:  # d'd overflows, with warnings turned into errors
+            out[0] = math.inf
         out[1] = float(w.dot(x)) - 5.0
         np.subtract(x, hi, out=out[2 : n + 2])
         np.subtract(lo, x, out=out[n + 2 :])

@@ -490,6 +490,14 @@ class _LineStep:
 SOLVERS = {"scs": _CurveStep, "spg": _LineStep}
 
 
+def _squared_norm(v: Vector) -> float:
+    """v'v; inf where it overflows, also with warnings turned into errors."""
+    try:
+        return v.dot(v)
+    except RuntimeWarning:  # v'v overflows, with warnings turned into errors
+        return math.inf
+
+
 def _non_finite(f: float, grad: Vector, gg: float, k: int) -> str:
     """What of f and grad at iterate k is not finite, or "" when both are;
     gg is grad'grad."""
@@ -557,7 +565,7 @@ def solve(
     x = fset.project(x)
     grad = p.grad(x)
     fx = p.f(x)
-    gg = grad.dot(grad)
+    gg = _squared_norm(grad)
     eta = ETA0
     f_hist: deque[float] = deque([fx], maxlen=cfg.M + 1)
     trace: list[IterationRecord] | None = [] if record_trace else None
@@ -613,7 +621,7 @@ def solve(
             rec.t = t
 
         grad_next = p.grad(x_next)
-        gg = grad_next.dot(grad_next)
+        gg = _squared_norm(grad_next)
         detail = _non_finite(f_next, grad_next, gg, k + 1)
         if detail:
             status = STATUS_NON_FINITE

@@ -12,8 +12,10 @@ import pytest
 import curveopt
 from curveopt import bench
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "deskbench"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "deskbench"), str(ROOT / "tools")]
 from harness import Workload  # noqa: E402
+from trajectory_digest import record_bytes  # noqa: E402
 
 #: runs that an array ** 3 or ** 4 would move with AVX-512 switched off:
 #: they reach powell20's oracles, which write each power as a product, and
@@ -22,12 +24,13 @@ RUNS = (("powell20", "box", "scs"), ("quad_diag50", "ell", "spg"))
 
 
 def outcomes():
-    """The SIMD features numpy dispatches to, and repr(f_star), iterations
-    and final_x bytes of each of RUNS on the desk plan's settings."""
+    """The SIMD features numpy dispatches to, and each of RUNS on the desk
+    plan's settings as the trajectory digest encodes an untraced record, in
+    hex."""
     runs = []
     for problem, set_name, solver in RUNS:
         (r,) = bench.run_plan(Workload((problem,), (set_name,), solvers=((solver, 0),)).plan(0))
-        runs.append([r.status, repr(r.f_star), r.iterations, r.final_x.tobytes().hex()])
+        runs.append(record_bytes(r).hex())
     return np.show_config(mode="dicts")["SIMD Extensions"].get("found", []), runs
 
 

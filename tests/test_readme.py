@@ -1,6 +1,7 @@
 """The README's plan and Python examples run as written, its lists of
-`SolverConfig` fields name the fields there are, and its CLI block names
-the options each `bench` command has."""
+`SolverConfig` fields name the fields there are, its CLI block names
+the options each `bench` command has, and every `tools/` or `deskbench/`
+file it names exists."""
 
 import contextlib
 import io
@@ -12,7 +13,8 @@ from curveopt.bench import parse_plan
 from curveopt.cli import main as cli_main
 from curveopt.solvers import SolverConfig
 
-README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).parents[1]
+README = (ROOT / "README.md").read_text()
 FENCED = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.M | re.S)
 NUMBER_WORDS = "zero one two three four five six seven eight nine ten eleven".split()
 
@@ -51,3 +53,11 @@ def test_readme_cli_block_names_exactly_the_options_of_each_command():
         command = cli_main.commands[line.split()[1]]
         options = [opt for param in command.params for opt in param.opts]
         assert re.findall(r"--[\w-]+", line) == options, line
+
+
+def test_readme_names_only_tools_and_deskbench_files_that_exist():
+    # a path ends at its last word character, so a full stop after it is not
+    # part of it
+    paths = set(re.findall(r"\b(?:tools|deskbench)/[\w./-]*\w", README))
+    assert "tools/trajectory_digest.py" in paths
+    assert [path for path in sorted(paths) if not (ROOT / path).exists()] == []

@@ -122,6 +122,18 @@ def test_a_square_that_overflows_raises_projection_error_with_warnings_as_errors
             fset.project([1e300, 0.0])
 
 
+@pytest.mark.parametrize("name", ("sph", "ell", "com"))
+def test_a_constraint_value_that_overflows_is_inf_with_warnings_as_errors(name):
+    # the constraint value at [1e300, 0] squares 1e300, which overflows; g
+    # takes it as inf, as it is without the filter, so the point is infeasible
+    fset = make_set(name, 2)
+    with np.errstate(over="ignore"):
+        assert fset.max_violation([1e300, 0.0]) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert fset.max_violation([1e300, 0.0]) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # box
 
@@ -242,7 +254,7 @@ def plain_diagonal(n, seed):
     return np.array([0.5 + 1.5 * rng.random() for _ in range(n)])
 
 
-#: repr of make_ellipsoid(n, seed=s).g(0).tolist(), that is sum(1/p_i) - 25
+#: repr of make_ellipsoid(n, seed=s).g(np.zeros(n)).tolist(), that is sum(1/p_i) - 25
 ELL_G0 = {
     (1, 0): "[-24.43395140582902]",
     (1, 5): "[-24.302821328449422]",
@@ -265,7 +277,7 @@ ELL_G0 = {
 def test_ellipsoid_diagonal_draw_is_pinned():
     for (n, seed), want in ELL_G0.items():
         e = make_ellipsoid(n, seed=seed)
-        assert repr(e.g(0).tolist()) == want, (n, seed)
+        assert repr(e.g(np.zeros(n)).tolist()) == want, (n, seed)
         plain = make_ellipsoid(n, p_diag=plain_diagonal(n, seed))
         # a far point whose projection depends on every entry and its order
         z = 30.0 * np.arange(1.0, n + 1.0)
@@ -778,20 +790,17 @@ def test_stationarity_measure_is_the_largest_entry_of_the_projected_step(name, n
 
 
 @pytest.mark.parametrize("n", VECTOR_DIMS)
-@pytest.mark.parametrize("name", ("com", "box"))
+@pytest.mark.parametrize("name", SET_NAMES)
 def test_a_point_of_the_wrong_length_is_rejected(name, n):
-    # both write g into one array of 2n (+ 2) entries, which a point of
-    # another length cannot fill; on the box a 1-vector broadcasts as a
-    # scalar would
+    # g checks the shape before any set's formula sees the point, where a
+    # 1-vector would broadcast as a scalar does
     fset = make_set(name, n)
-    lengths = {0, n - 1, n + 1, 2 * n + 2} - {n}
-    if name == "box":
-        lengths.discard(1)
-    for m in sorted(lengths):
+    for m in sorted({0, 1, n - 1, n + 1, 2 * n + 2} - {n}):
         x = np.zeros(m)
-        with pytest.raises(ValueError):
+        message = rf"^point for {name} has shape \({m},\)$"
+        with pytest.raises(ValueError, match=message):
             fset.g(x)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             fset.max_violation(x)
 
 

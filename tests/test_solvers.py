@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ def test_non_finite_gradient_entry(entry, detail):
     with np.errstate(over="ignore"):
         grad = np.array([1.0, entry, 1e200])
         assert solvers._non_finite(1.0, grad, grad.dot(grad), 7) == detail
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_gradient_whose_square_overflows_runs_with_warnings_as_errors(solver):
+    # under `python -W error::RuntimeWarning` numpy raises the overflow of
+    # g'g as a RuntimeWarning; the loop takes g'g as inf, as it is without
+    # the filter, and the run ends as it does there: at the box's corner
+    steep = SmoothProblem(
+        "steep", 2, lambda x: 1e200 * float(x[0]), lambda x: np.array([1e200, 0.0]), np.zeros(2)
+    )
+    box = make_set("box", 2)
+    with np.errstate(over="ignore"):
+        quiet = solve(solver, steep, box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = solve(solver, steep, box)
+    for rec in (quiet, r):
+        assert (rec.status, rec.iterations, rec.f_star) == (STATUS_STATIONARY, 1, -1e200)
+        assert rec.final_x.tolist() == [-1.0, 0.0]
 
 
 def test_build_secondary_direction_worked_value():

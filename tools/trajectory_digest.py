@@ -1,4 +1,4 @@
-"""One SHA-256 over the desk plan's records and traces.
+"""Two SHA-256 digests over the desk plan's runs, traced and untraced.
 
     python3 tools/trajectory_digest.py
 
@@ -12,12 +12,20 @@ prints one digest over
 - the `TRACE_FIELDS` of every `IterationRecord`: floats and other scalars
   by repr, arrays by dtype, shape and bytes.
 
-Both lists are fixed, so a column or field added later leaves the digest of
-an unchanged trajectory as it was.  Two checkouts that print the same digest
-ran the same trajectories bit for bit.  `digest(problems, sets)` covers a
-part of the plan, such as `digest(sets=("sph", "ell", "box"))` to show that
-a change to one set's projection leaves the runs on the others as they were;
-the script prints the digest of the whole plan.
+It then runs the plan again with `record_trace=False`, as `deskbench` and
+`bench run` do, and prints a second digest over the `RECORD_FIELDS` of each
+`RunRecord`, encoded the same way: every field but `elapsed` and `trace`.
+A traced run takes paths an untraced one skips (it always computes the
+stationarity measure, for one), so the untraced digest sees drift in the
+paths only untraced runs take.
+
+The lists are fixed, so a column or field added later leaves the digests of
+unchanged trajectories as they were.  Two checkouts that print the same
+digests ran the same trajectories bit for bit, in both trace modes.
+`digest(problems, sets)` covers a part of the plan, such as
+`digest(sets=("sph", "ell", "box"))` to show that a change to one set's
+projection leaves the runs on the others as they were; the script prints
+the digests of the whole plan.
 
 A digest holds for one numpy build, one BLAS kernel and one C library.
 The library takes no power but an array's square, a product, so numpy's
@@ -34,7 +42,7 @@ need not be the name set: numpy 2.4.6's OpenBLAS reports `Prescott` as
 `Katmai`; "unknown" where the library names none) and the C library
 (from `platform.libc_ver`, else "unknown"); compare digests only where the
 numpy version, the BLAS core and the C library read alike.
-The digest stays the last line.  It exits 1 if a listed column or
+The digests stay the last line.  It exits 1 if a listed column or
 field is missing, or if an entry lacks its iterate or an SCS step entry
 lacks `d`, `s` or `s_candidate`, so that the digest never silently covers
 less than it names.  The library and the harness are imported from the
@@ -60,7 +68,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "deskbench")]
 
 from curveopt import bench  # noqa: E402
 from curveopt.sets import SET_NAMES  # noqa: E402
-from curveopt.solvers import IterationRecord  # noqa: E402
+from curveopt.solvers import IterationRecord, RunRecord  # noqa: E402
 from harness import DESK_PROBLEMS, Workload  # noqa: E402
 
 SEED = 0
@@ -75,12 +83,33 @@ TRACE_FIELDS = (
     "beta_used", "eta", "eps", "grad_dot_d", "f_ref", "d", "s", "s_candidate",
     "straight_line",
 )
+RECORD_FIELDS = (
+    "solver_name", "problem_name", "set_name", "M", "dim", "status", "f_star",
+    "stationarity", "iterations", "fallbacks", "adaptive_reductions", "max_g_final",
+    "detail", "final_x",
+)
 
 
 def _encode(value) -> bytes:
     if isinstance(value, np.ndarray):
         return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
     return repr(value).encode()
+
+
+def _fields(obj, names) -> bytes:
+    """Each of `names` and the value of that attribute of obj, encoded."""
+    return b"".join(name.encode() + _encode(getattr(obj, name)) for name in names)
+
+
+def record_bytes(record: RunRecord) -> bytes:
+    """The `RECORD_FIELDS` of a run, as the untraced digest hashes them."""
+    return _fields(record, RECORD_FIELDS)
+
+
+def _check_fields(cls, names) -> None:
+    missing = set(names) - {f.name for f in dataclasses.fields(cls)}
+    if missing:
+        sys.exit(f"error: {cls.__name__} lacks the fields {sorted(missing)}")
 
 
 def _v1_records(records) -> bytes:
@@ -103,13 +132,14 @@ def _lacks_vectors(solver: str, rec) -> bool:
     return any(getattr(rec, name) is None for name in names)
 
 
-def digest(problems=DESK_PROBLEMS, sets=SET_NAMES) -> tuple[str, int, int, int]:
-    """(hex digest, runs, trace entries, entries lacking arrays) over the
-    desk plan of `problems` on `sets`, one problem's plan at a time."""
-    missing = set(TRACE_FIELDS) - {f.name for f in dataclasses.fields(IterationRecord)}
-    if missing:
-        sys.exit(f"error: IterationRecord lacks the fields {sorted(missing)}")
+def digest(problems=DESK_PROBLEMS, sets=SET_NAMES) -> tuple[str, int, int, int, str]:
+    """(hex digest, runs, trace entries, entries lacking arrays, untraced hex
+    digest) over the desk plan of `problems` on `sets`, one problem's plan at
+    a time."""
+    _check_fields(IterationRecord, TRACE_FIELDS)
+    _check_fields(RunRecord, RECORD_FIELDS)
     h = hashlib.sha256()
+    untraced = hashlib.sha256()
     runs = entries = lacking = 0
     for problem in sorted(problems):
         plan = Workload((problem,), tuple(sets)).plan(SEED)
@@ -117,13 +147,13 @@ def digest(problems=DESK_PROBLEMS, sets=SET_NAMES) -> tuple[str, int, int, int]:
         h.update(_v1_records(records))
         for r in records:
             for rec in r.trace or ():
-                for name in TRACE_FIELDS:
-                    h.update(name.encode())
-                    h.update(_encode(getattr(rec, name)))
+                h.update(_fields(rec, TRACE_FIELDS))
                 entries += 1
                 lacking += _lacks_vectors(r.solver_name, rec)
         runs += len(records)
-    return h.hexdigest(), runs, entries, lacking
+        for r in bench.run_plan(plan, record_trace=False):
+            untraced.update(record_bytes(r))
+    return h.hexdigest(), runs, entries, lacking, untraced.hexdigest()
 
 
 #: the function naming OpenBLAS's core in numpy's wheels (scipy-openblas,
@@ -173,8 +203,8 @@ def numpy_build() -> str:
 
 def main() -> int:
     print(numpy_build())
-    hexdigest, runs, entries, lacking = digest()
-    print(f"{hexdigest}  {runs} runs, {entries} trace entries")
+    hexdigest, runs, entries, lacking, untraced = digest()
+    print(f"{hexdigest}  {runs} runs, {entries} trace entries, untraced {untraced}")
     if lacking:
         print(f"error: {lacking} trace entries lack their arrays", file=sys.stderr)
         return 1
