@@ -10,15 +10,27 @@ Four shipped configurations, addressable by short name:
 
 Every projection is exact: sph/box are closed form; ell runs Newton's
 method on the secular equation of its KKT multiplier, which climbs to the
-root from 0 with no bracket, since 1/||x(lam) - c||_P is concave and
-increasing in lam as for a trust-region step (More & Sorensen 1983,
-"Computing a trust region step"), so every z with a finite g(z) projects;
+root with no bracket from 0, or from any multiplier below it, since
+1/||x(lam) - c||_P is concave and increasing in lam as for a trust-region
+step (More & Sorensen 1983, "Computing a trust region step");
 com nests two 1-D multiplier searches, one for the ball and one for the
 halfspace, with the box handled by clipping.
 The halfspace's search bisects its breakpoints.  The ball's steps to the
 root of the piece of ||x(lam) - c||^2 that holds its last trial, which has
 a closed form because the halfspace's normal is uniform, and bisects its
 bracket where that root falls outside it.
+
+Every inner product on the solver path, here and in `solvers`, goes through
+one of two helpers: `_squared_norm(v)` for v'v and `_dot(a, b)` for a'b, so
+a change to how they are summed changes two bodies.  `_squared_norm` holds
+the one guard for a square that overflows: it gives inf there, also with
+warnings turned into errors (`python -W error::RuntimeWarning`), where numpy
+raises the overflow as a RuntimeWarning.  ell's weighted sum of squares keeps
+its own guard.  A finite point whose squares overflow still projects: sph
+and com then take its norm as m ||v / m|| with m = max |v_i| (`_scaled_norm`),
+and ell starts its Newton iteration at a multiplier where its squares are
+finite.  Only a point whose norm exceeds the largest float (entries near
+1e308), or with an inf or NaN entry, raises ProjectionError.
 
 ell's seeded diagonal is drawn by the standard library's `random.Random`,
 whose `random()` sequence for an integer seed Python keeps the same on
@@ -50,6 +62,32 @@ def _max(a: Vector):
     `argmax` takes the first NaN, and on a tie of +0.0 with -0.0 the first of
     the two, where the reduce may give either."""
     return a[a.argmax()]
+
+
+def _squared_norm(v: Vector):
+    """v'v; inf where it overflows, also with warnings turned into errors.
+    The one squared norm, and the one guard of an overflowing square, on the
+    solver path; ell's weighted sum keeps its own."""
+    try:
+        return v.dot(v)
+    except RuntimeWarning:  # v'v overflows, with warnings turned into errors
+        return math.inf
+
+
+def _dot(a: Vector, b: Vector):
+    """a'b; the one inner product of two vectors on the solver path."""
+    return a.dot(b)
+
+
+def _scaled_norm(v: Vector) -> float:
+    """||v||_2 as m ||v / m|| with m = max |v_i|, the scaling of LAPACK's
+    dnrm2, for a v whose squared norm overflows: finite while ||v|| is a
+    finite float; inf or NaN where an entry is."""
+    m = float(_max(np.abs(v)))
+    if not m < math.inf:  # NaN too
+        return m
+    return m * math.sqrt(_squared_norm(v / m))
+
 
 #: slack for every floating-point "g_i <= 0" feasibility check
 FEAS_TOL = 1e-8
@@ -92,20 +130,15 @@ def make_sphere(n: int) -> ConvexFeasibleSet:
     radius = 10.0
 
     def g(x):
-        try:
-            xx = float(x.dot(x))
-        except RuntimeWarning:  # x'x overflows, with warnings turned into errors
-            xx = math.inf
-        return np.array([xx - 100.0])
+        return np.array([float(_squared_norm(x)) - 100.0])
 
     def project(x):
         x = np.asarray(x, dtype=float)
-        try:
-            nrm = math.sqrt(x.dot(x))
-        except RuntimeWarning:  # x'x overflows, with warnings turned into errors
-            nrm = math.inf
+        nrm = math.sqrt(_squared_norm(x))
         if nrm <= radius:
             return np.array(x)
+        if nrm == math.inf:  # x'x overflows, or an entry is inf
+            nrm = _scaled_norm(x)
         if not math.isfinite(nrm):  # NaN too, which fails the test above
             raise ProjectionError("sphere projection: ||z|| is not finite")
         return (radius / nrm) * x
@@ -173,6 +206,7 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
         raise ValueError("p_diag entries must be finite")
     if np.any(p <= 0):
         raise ValueError("p_diag entries must be positive")
+    p_max = float(_max(p))
 
     def q(d):
         """The constraint value at c + d; inf where d * d overflows."""
@@ -190,15 +224,28 @@ def make_ellipsoid(n: int, p_diag: Vector | None = None, seed: int = 0) -> Conve
         gz = q(d)
         if gz <= 0.0:
             return np.array(z)
-        if not math.isfinite(gz):
+        # a bound on every |p_i d_i|, needed only where d * d overflows;
+        # inf or NaN where an entry of d is, or where p d may overflow
+        bound = 0.0 if gz < math.inf else p_max * float(_max(np.abs(d)))
+        if not bound < math.inf:  # NaN too
             raise ProjectionError("ellipsoid projection: g(z) is not finite")
         pd = p * d
         # KKT of min ||x - z||^2 s.t. g(x) <= 0:  x(lam) = c + w with
         # w = p d / s, s = p + 2 lam, and r2(lam) = sum(w^2 / p) = g + rhs.
         # 1/sqrt(r2) is concave and increasing in lam, so Newton on
-        # 1/sqrt(r2) - 1/sqrt(rhs) from lam = 0 climbs to the root without a
-        # safeguard; its step is grouped so that it does not overflow.
+        # 1/sqrt(r2) - 1/sqrt(rhs) from any lam with a finite r2 > rhs, such
+        # as lam = 0, climbs to the root without a safeguard; its step is
+        # grouped so that it does not overflow.
         lam, s, w = 0.0, p, d
+        if bound > 0.0:
+            # d * d overflows: start from the first lam = bound / 2**h,
+            # h = 2, 3, ..., with g(c + w) > 0.  At h = 2 every |w_i| < 2, and
+            # each halving at most doubles w, so r2 is finite there.
+            lam = 0.25 * bound
+            while q(pd / (p + 2.0 * lam)) <= 0.0:
+                lam *= 0.5
+            s = p + 2.0 * lam
+            w = pd / s
         for _ in range(_ELL_MAX_ITERS):
             ww_p = w * w / p
             r2 = float(_sum(ww_p))
@@ -226,12 +273,8 @@ def make_composite(n: int) -> ConvexFeasibleSet:
 
     def g(x):
         out = np.empty(2 * n + 2)
-        d = x - c
-        try:
-            out[0] = float(d.dot(d)) - 100.0
-        except RuntimeWarning:  # d'd overflows, with warnings turned into errors
-            out[0] = math.inf
-        out[1] = float(w.dot(x)) - 5.0
+        out[0] = float(_squared_norm(x - c)) - 100.0
+        out[1] = float(_dot(w, x)) - 5.0
         np.subtract(x, hi, out=out[2 : n + 2])
         np.subtract(lo, x, out=out[n + 2 :])
         return out
@@ -248,14 +291,13 @@ def make_composite(n: int) -> ConvexFeasibleSet:
 
     def d2_of(x):
         """||x - c||^2."""
-        u = x - c
-        return float(u.dot(u))
+        return float(_squared_norm(x - c))
 
     def x_of(a, nu):
         return _clip(a - nu * w, lo, hi)
 
     def h(x):
-        return float(w.dot(x)) - 5.0
+        return float(_dot(w, x)) - 5.0
 
     def project_halfspace_box(a):
         """(P(a), whether the halfspace is active at it)."""
@@ -307,30 +349,28 @@ def make_composite(n: int) -> ConvexFeasibleSet:
         u = (x - c)[~free]
         v_f = v[free]
         k = len(v_f)
-        rest = rt2 - float(u.dot(u))
+        rest = rt2 - float(_squared_norm(u))
         if on_halfspace and k:
             kappa = (n - float(_sum(u))) / k
             v_f = v_f - float(_sum(v_f)) / k
             rest -= k * kappa * kappa
-        den = float(v_f.dot(v_f))
+        den = float(_squared_norm(v_f))
         s = math.sqrt(rest / den) if rest > 0.0 and den > 0.0 else 0.0
         return 1.0 / s - 1.0 if s > 0.0 else math.nan
 
     def project(z):
         z = np.asarray(z, dtype=float)
         v = z - c
-        try:
-            dz2 = float(v.dot(v))
-        except RuntimeWarning:  # v'v overflows, with warnings turned into errors
-            dz2 = math.inf
-        if not math.isfinite(dz2):
-            raise ProjectionError("composite projection: ||z - c|| is not finite")
+        dz2 = float(_squared_norm(v))
         # P does not move points away from c, which lies in the set.  So
         # inside the ball lam = 0, and at the radial lam_hi, where
         # ||a - c|| = rt, ||x - c|| <= rt < r and the root lies in [0, lam_hi].
         if dz2 <= r2:
             return project_halfspace_box(z)[0]
-        lam_hi = math.sqrt(dz2) / rt - 1.0
+        dz = math.sqrt(dz2) if dz2 < math.inf else _scaled_norm(v)
+        if not math.isfinite(dz):  # NaN too
+            raise ProjectionError("composite projection: ||z - c|| is not finite")
+        lam_hi = dz / rt - 1.0
         x_hi, on_halfspace = project_halfspace_box(c + v / (1.0 + lam_hi))
         if d2_of(x_hi) >= r2 - _COM_ROOT_TOL:
             return x_hi

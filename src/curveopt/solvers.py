@@ -18,6 +18,8 @@ SPG, the spectral projected gradient baseline, backtracks along the straight
 line by quadratic interpolation.  With `beta0 = 0` and `ALPHA` set to 1, an
 SCS step is SPG backtracking by halving instead, bit for bit.
 `SOLVERS` maps each solver name to its step strategy.
+Every inner product here goes through `sets._squared_norm` or `sets._dot`,
+and every squared norm through the one overflow guard of the first.
 """
 
 from __future__ import annotations
@@ -36,13 +38,19 @@ import numpy as np
 from .curves import CurveDecision, QuadraticCurve, feasibility_certificate
 from .errors import SearchFailureError, as_integer
 from .problems import SmoothProblem
-from .sets import FEAS_TOL, ConvexFeasibleSet, _max
+from .sets import FEAS_TOL, ConvexFeasibleSet, _dot, _max, _squared_norm
 
 Vector = np.ndarray
 
 #: threshold on ||z - project(z)|| deciding whether a projection was
 #: actually needed to form the primary direction
 _PROJ_ACTIVE_TOL = 1e-12
+
+#: bound on eta * sqrt(grad'grad) under which z = x - eta*grad cannot
+#: overflow: every |eta * grad_i| is then at most 2**961, and x_i plus that
+#: rounds to a finite float for every finite x_i, since the largest float is
+#: 2**1024 - 2**971
+_STEP_SAFE = 2.0**960
 
 #: backtracking factor of both searches and of the momentum reduction
 DELTA = 0.5
@@ -108,7 +116,8 @@ STATUS_TIME_LIMIT = "time_limit"
 STATUS_SEARCH_FAILURE = "search_failure"
 #: f or a gradient entry at the projected start or an accepted step was
 #: inf or NaN; the run keeps the last iterate where both were finite, or
-#: the start when it is the start that is not
+#: the start when it is the start that is not; or z = x - eta*grad
+#: overflowed at an iterate where no stop ended the run
 STATUS_NON_FINITE = "non_finite"
 
 
@@ -249,9 +258,9 @@ def spectral_eta(r: Vector, y: Vector, eta_min: float, eta_max: float) -> float:
     a quotient that is not a number, as when r'y is inf - inf or r'r / r'y
     is inf / inf.
     """
-    ry = float(r.dot(y))
+    ry = float(_dot(r, y))
     if ry > 0.0:
-        q = float(r.dot(r)) / ry
+        q = float(_squared_norm(r)) / ry
         if not math.isnan(q):
             return min(eta_max, max(eta_min, q))
     return eta_max
@@ -362,17 +371,16 @@ def _rules_out_stop(x: Vector, gg: float, eta: float, d: Vector, stat_tol: float
     `test_the_step_rules_out_a_stop_only_where_the_measure_exceeds_stat_tol`
     checks such points too.
     """
-    bound = math.sqrt(d.dot(d)) * min(1.0, 1.0 / eta) / math.sqrt(d.size)
+    bound = math.sqrt(_squared_norm(d)) * min(1.0, 1.0 / eta) / math.sqrt(d.size)
     if not stat_tol < bound < math.inf:
         return False
-    scale = stat_tol + math.sqrt(x.dot(x)) + math.sqrt(gg)
+    scale = stat_tol + math.sqrt(_squared_norm(x)) + math.sqrt(gg)
     return bound > stat_tol + 1e-9 * scale
 
 
 def _projection_active(z: Vector, pz: Vector) -> bool:
     """Whether ||z - pz||_2 > _PROJ_ACTIVE_TOL: the projection moved z."""
-    moved = z - pz
-    return math.sqrt(moved.dot(moved)) > _PROJ_ACTIVE_TOL
+    return math.sqrt(_squared_norm(z - pz)) > _PROJ_ACTIVE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +498,6 @@ class _LineStep:
 SOLVERS = {"scs": _CurveStep, "spg": _LineStep}
 
 
-def _squared_norm(v: Vector) -> float:
-    """v'v; inf where it overflows, also with warnings turned into errors."""
-    try:
-        return v.dot(v)
-    except RuntimeWarning:  # v'v overflows, with warnings turned into errors
-        return math.inf
-
-
 def _non_finite(f: float, grad: Vector, gg: float, k: int) -> str:
     """What of f and grad at iterate k is not finite, or "" when both are;
     gg is grad'grad."""
@@ -542,6 +542,9 @@ def solve(
     accepted (x_next, f_next, t) or raises SearchFailureError, which ends
     the run.  A non-finite f or gradient at the projected start or at an
     accepted step ends it too, before anything is projected from that point.
+    Where z overflows, which only an eta * sqrt(grad'grad) near the largest
+    float allows, z is not projected: the measure is computed, the stops are
+    checked, and a run that would take that step ends `non_finite`.
     `rec` is the iteration's trace entry or None; a step writes only its own
     fields, and its arrays only when `rec.x` is set, that is in a vector trace.
     The loop and the step fill the entry before the search and set `t` after
@@ -574,11 +577,19 @@ def solve(
     detail = _non_finite(fx, grad, gg, 0)
     status = STATUS_NON_FINITE if detail else None
     while status is None:
-        z = x - eta * grad
-        pz = fset.project(z)
-        d = pz - x
-        stat = None  # unmeasured: the step's projection rules out a stop at x
-        if trace is not None or not _rules_out_stop(x, gg, eta, d, cfg.stat_tol):
+        if eta * math.sqrt(gg) < _STEP_SAFE:
+            z = x - eta * grad
+        else:  # z may overflow; where it does, it is None
+            with np.errstate(over="ignore"):
+                z = x - eta * grad
+            if not np.isfinite(z).all():
+                z = None
+        # stat None: unmeasured, as the step's projection rules out a stop at x
+        pz = d = stat = None
+        if z is not None:
+            pz = fset.project(z)
+            d = pz - x
+        if d is None or trace is not None or not _rules_out_stop(x, gg, eta, d, cfg.stat_tol):
             stat = stationarity_measure(fset, x, grad)
         rec = None
         if trace is not None:
@@ -599,8 +610,12 @@ def solve(
         if time.perf_counter() - t0 > cfg.time_limit:
             status = STATUS_TIME_LIMIT
             break
+        if z is None:
+            status = STATUS_NON_FINITE
+            detail = f"z = x - eta*grad overflows at iterate {k}"
+            break
 
-        grad_dot_d = float(grad.dot(d))
+        grad_dot_d = float(_dot(grad, d))
         f_ref = max(f_hist)
         if rec is not None:
             rec.grad_dot_d = grad_dot_d

@@ -91,21 +91,22 @@ def test_sphere_matches_the_centred_formulas(n):
             for z in (x, x.tolist()):
                 if math.isfinite(x.dot(x)):
                     assert np.array_equal(s.project(z), project(z))
-                else:  # the norm of an exterior point must be finite
-                    with pytest.raises(ProjectionError, match=SPHERE_NOT_FINITE):
-                        s.project(z)
+                else:  # the norm is taken as m ||x / m||, m = max |x_i|
+                    u = x / np.abs(x).max()
+                    radial = (10.0 / math.sqrt(u.dot(u))) * u
+                    np.testing.assert_allclose(s.project(z), radial, rtol=1e-15, atol=1e-300)
 
 
 SPHERE_NOT_FINITE = r"^sphere projection: \|\|z\|\| is not finite$"
 
 
-@pytest.mark.parametrize("bad", (1e200, -1e200, np.inf, -np.inf, np.nan))
+@pytest.mark.parametrize("bad", (1.7e308, -1.7e308, np.inf, -np.inf, np.nan))
 @pytest.mark.parametrize("name", ("sph", "ell", "com"))
 def test_projection_of_a_point_whose_norm_is_not_finite_raises(name, bad):
-    # 1e200 is finite, but its square overflows, so the norm is inf too
+    # 1.7e308 is finite, but ||(bad, bad)|| exceeds the largest float
     fset = make_set(name, 2)
     with np.errstate(over="ignore"), pytest.raises(ProjectionError) as raised:
-        fset.project([bad, 0.0])
+        fset.project([bad, bad])
     if name == "sph":
         assert raised.match(SPHERE_NOT_FINITE)
 
@@ -113,13 +114,39 @@ def test_projection_of_a_point_whose_norm_is_not_finite_raises(name, bad):
 @pytest.mark.parametrize("name", ("sph", "ell", "com"))
 def test_a_square_that_overflows_raises_projection_error_with_warnings_as_errors(name):
     # under `python -W error::RuntimeWarning` numpy raises the overflow of
-    # 1e300**2 as a RuntimeWarning, which the projection turns into its own
-    # ProjectionError, as without the filter
+    # 1.7e308**2 as a RuntimeWarning; the projection of a point whose norm
+    # overflows too raises its own ProjectionError, as without the filter
     fset = make_set(name, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ProjectionError):
-            fset.project([1e300, 0.0])
+            fset.project([1.7e308, 1.7e308])
+
+
+@pytest.mark.parametrize(
+    "z", ([1e306, 0.0], [-1e306, 0.0], [1e300, 1e300]), ids=("1e306", "-1e306", "1e300")
+)
+@pytest.mark.parametrize("name", ("sph", "ell", "com"))
+def test_a_finite_point_whose_square_overflows_projects(name, z):
+    # z'z overflows, but the norm m ||z / m||, m = max |z_i|, does not, and
+    # ell starts its Newton iteration where its squares are finite
+    fset = make_set(name, 2)
+    with np.errstate(over="ignore"):
+        x = fset.project(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(fset.project(z), x)
+        assert np.isfinite(x).all()
+        assert fset.max_violation(x) <= FEAS_TOL
+    if name == "sph":
+        u = np.array(z) / np.abs(z).max()
+        np.testing.assert_allclose(x, 10.0 * u / np.linalg.norm(u), rtol=1e-15)
+    if name == "ell":  # KKT: z - x is a positive multiple of P^-1 (x - c)
+        rng = random.Random(0)  # the diagonal P of make_ellipsoid(2, seed=0)
+        normal = (x - 1.0) / np.array([0.5 + 1.5 * rng.random() for _ in range(2)])
+        direction = np.array(z) / np.abs(z).max() - x / np.abs(z).max()
+        cos = normal.dot(direction) / (np.linalg.norm(normal) * np.linalg.norm(direction))
+        assert cos == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ("sph", "ell", "com"))

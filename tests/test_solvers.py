@@ -654,15 +654,66 @@ def test_non_finite_start_is_rejected_before_a_run(solver, set_name, where):
 
 @pytest.mark.parametrize("solver", ("scs", "spg"))
 def test_a_step_the_sphere_cannot_project_stops_the_run(solver):
-    # x - grad = (1e200, 0) has a norm whose square overflows; projected to
-    # 0, it would end the run `stationary` at iterate 0
+    # x - grad = (1.7e308, 1.7e308) is finite, but its norm exceeds the
+    # largest float; projected to 0, it would end the run `stationary` at
+    # iterate 0
     p = SmoothProblem(
-        "push2", 2, lambda x: float(-1e200 * x[0]), lambda x: np.array([-1e200, 0.0]), np.zeros(2)
+        "push2", 2, lambda x: float(-1.7e308 * x.sum()), lambda x: np.full(2, -1.7e308), np.zeros(2)
     )
     with np.errstate(over="ignore"), pytest.raises(
         ProjectionError, match=r"^sphere projection: \|\|z\|\| is not finite$"
     ):
         solve(solver, p, make_set("sph", 2))
+
+
+def linear_problem(grad):
+    g = np.array(grad)
+    return SmoothProblem("linear2", 2, lambda x: float(g.dot(x)), lambda x: g.copy(), np.zeros(2))
+
+
+@pytest.mark.parametrize("set_name", ("sph", "ell", "com", "box"))
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize(
+    "grad, window",
+    [([1e306, 0.0], (1e-3, 1e3)), ([1e200, 0.0], (1e-30, 1e30))],
+    ids=("1e306", "1e200-wide"),
+)
+def test_a_step_whose_square_overflows_ends_with_a_named_status(grad, window, solver, set_name):
+    # z = -eta * grad at iterate 0 projects though z'z overflows; at iterate 1,
+    # eta = eta_max, and z overflows at 1e306, but the run is stationary first
+    p = linear_problem(grad)
+    cfg = SolverConfig(eta_min=window[0], eta_max=window[1])
+    with np.errstate(over="ignore"):
+        quiet = solve(solver, p, make_set(set_name, 2), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = solve(solver, p, make_set(set_name, 2), cfg)
+    for rec in (quiet, r):
+        assert (rec.status, rec.iterations, rec.detail) == (STATUS_STATIONARY, 1, "")
+        assert np.array_equal(rec.final_x, quiet.final_x)
+        assert rec.max_g_final <= FEAS_TOL
+
+
+@pytest.mark.parametrize("set_name", ("com", "box"))
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_step_point_that_overflows_ends_the_run_non_finite(solver, set_name):
+    # the first step reaches the bound on x_0 but not the minimiser 0.5 of
+    # x_1; the spectral step is then eta_max = 1e3, and eta * 1e306 overflows
+    p = SmoothProblem(
+        "steep2",
+        2,
+        lambda x: 1e306 * float(x[0]) + 0.05 * float((x[1] - 0.5) ** 2),
+        lambda x: np.array([1e306, 0.1 * (x[1] - 0.5)]),
+        np.zeros(2),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = solve(solver, p, make_set(set_name, 2), record_trace=True)
+    assert (r.status, r.iterations) == (STATUS_NON_FINITE, 1)
+    assert r.detail == "z = x - eta*grad overflows at iterate 1"
+    assert r.final_x[1] == pytest.approx(0.05)
+    assert r.stationarity == r.trace[-1].stationarity == pytest.approx(0.045)
+    assert (len(r.trace), r.trace[-1].eta, r.trace[-1].t) == (2, None, None)
 
 
 @pytest.mark.parametrize(
